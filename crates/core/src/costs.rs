@@ -25,6 +25,7 @@
 //! scope for this file additionally bans every map/set/heap structure
 //! whose iteration order could otherwise leak into the table.
 
+use crate::dir::ranks;
 use crate::latency::LatencyModel;
 use icn_topology::{Network, NodeId};
 
@@ -316,10 +317,52 @@ impl CostFrom<'_> {
             if tb == self.ta {
                 continue;
             }
-            let c = t.intra_cost(self.ta, tb);
-            let n = self.pa * t.tree_nodes + tb;
-            if best.is_none_or(|(bc, bn)| c < bc || (c == bc && n < bn)) {
-                *best = Some((c, n));
+            fold_min(best, t.intra_cost(self.ta, tb), self.pa * t.tree_nodes + tb);
+        }
+    }
+
+    /// Folds the replicas PoP `p` holds (`mask`, presence bits by climb
+    /// rank) into `best`. A foreign PoP's first set bit is provably its
+    /// `(cost, NodeId)`-minimal replica, so it contributes one candidate;
+    /// the source's own PoP takes the [`CostFrom::min_in_own_mask`] walk.
+    /// A foreign `mask` must be non-zero (directory groups always are).
+    /// Runs once per PoP group of every nearest-replica selection; the
+    /// inliner keeps it out of line there unless forced (measured).
+    #[inline(always)]
+    pub(crate) fn min_in_group(&self, p: u32, mask: u128, best: &mut Option<(f64, NodeId)>) {
+        if p == self.pa {
+            self.min_in_own_mask(mask, best);
+        } else {
+            let r = mask.trailing_zeros();
+            let n = p * self.table.tree_nodes + self.table.t_of_rank[r as usize];
+            fold_min(best, self.to_pop_rank(p, r), n);
+        }
+    }
+
+    /// Appends every replica PoP `p` holds (`mask`) that is cheaper than
+    /// `max_cost` to the parallel cost/node arrays, skipping the source
+    /// itself — for selections that may need to probe past the minimum.
+    pub(crate) fn extend_from_group(
+        &self,
+        p: u32,
+        mask: u128,
+        max_cost: f64,
+        costs_out: &mut Vec<f64>,
+        nodes_out: &mut Vec<NodeId>,
+    ) {
+        let t = self.table;
+        for r in ranks(mask) {
+            let tb = t.t_of_rank[r as usize];
+            let c = if p != self.pa {
+                self.to_pop_rank(p, r)
+            } else if tb == self.ta {
+                continue; // the source itself
+            } else {
+                t.intra_cost(self.ta, tb)
+            };
+            if c < max_cost {
+                costs_out.push(c);
+                nodes_out.push(p * t.tree_nodes + tb);
             }
         }
     }
@@ -334,6 +377,15 @@ impl CostFrom<'_> {
         t.climb_root[self.ta as usize]
             + t.climb_by_rank[r as usize]
             + t.core[(self.pa * t.pops + pb) as usize]
+    }
+}
+
+/// Replaces `best` with `(c, n)` when that is smaller under the
+/// `(cost, NodeId)` order every replica selection shares.
+#[inline]
+pub(crate) fn fold_min(best: &mut Option<(f64, NodeId)>, c: f64, n: NodeId) {
+    if best.is_none_or(|(bc, bn)| c < bc || (c == bc && n < bn)) {
+        *best = Some((c, n));
     }
 }
 

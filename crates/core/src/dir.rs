@@ -30,6 +30,17 @@
 /// Maximum tree size (nodes per PoP) the mask directory can index.
 pub const MAX_MASK_TREE: u32 = 128;
 
+/// The climb ranks present in `mask`, ascending.
+pub(crate) fn ranks(mut mask: u128) -> impl Iterator<Item = u32> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let r = mask.trailing_zeros();
+            mask &= mask - 1;
+            r
+        })
+    })
+}
+
 /// Per-object replica sets, bit-packed per PoP. See the module docs.
 pub struct ReplicaMasks {
     /// `per_object[o]` = `(pop, mask)` groups sorted by `pop`, empty
@@ -129,11 +140,7 @@ mod tests {
     fn replicas(m: &ReplicaMasks, object: u32) -> Vec<(u32, u32)> {
         let mut out = Vec::new();
         for &(p, mask) in m.entries(object) {
-            let mut bits = mask;
-            while bits != 0 {
-                out.push((p, bits.trailing_zeros()));
-                bits &= bits - 1;
-            }
+            out.extend(ranks(mask).map(|r| (p, r)));
         }
         out
     }

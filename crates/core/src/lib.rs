@@ -26,6 +26,7 @@ pub mod design;
 pub mod dir;
 pub mod fault;
 pub mod instrument;
+mod kernel;
 pub mod latency;
 pub mod metrics;
 pub mod shard;

@@ -10,11 +10,13 @@
 //! 1. The request stream is cut into fixed-size **epochs** (`epoch_len`
 //!    requests, [`DEFAULT_EPOCH_LEN`] by default).
 //! 2. Within an epoch, every PoP is an independent **lane**: a worker
-//!    thread simulates the lane's own requests against the lane's *live*
-//!    own-PoP state plus a **frozen snapshot** of cross-PoP state (the
-//!    replica directory under nearest-replica routing; PoP-root residency
-//!    bits under shortest-path routing). Effects on foreign PoPs are not
-//!    applied in place — they are recorded as [`Delta`]s.
+//!    thread runs the lane's own requests through the same request kernel
+//!    as the sequential engine ([`crate::kernel`]), over a [`LaneWorld`] —
+//!    the lane's *live* own-PoP state plus a **frozen snapshot** of
+//!    cross-PoP state (the replica directory under nearest-replica
+//!    routing; PoP-root residency bits under shortest-path routing).
+//!    Effects on foreign PoPs are not applied in place — they are
+//!    recorded as [`Delta`]s.
 //! 3. At the epoch boundary a sequential **reconcile** applies every
 //!    delta in canonical `(source pop, emission seq)` order, retires TTL
 //!    leases and crash flushes up to the boundary, and resyncs each
@@ -37,23 +39,19 @@
 //! state at all, so there the epoch engine reproduces the sequential
 //! simulator bit-for-bit.
 
-use crate::capacity::CapacityTracker;
-use crate::config::{ExperimentConfig, InsertionPolicy};
-use crate::costs::CostTable;
-use crate::design::{DesignSpec, Routing};
-use crate::dir::{ReplicaMasks, MAX_MASK_TREE};
-use crate::fault::{FaultSchedule, NO_GROUP};
+use crate::config::ExperimentConfig;
+use crate::design::Routing;
+use crate::dir::{ranks, ReplicaMasks, MAX_MASK_TREE};
 use crate::instrument::CellClock;
+use crate::kernel::{Env, Kernel, World, RNG_SEED};
 use crate::metrics::RunMetrics;
-use crate::sim::{min_candidate, FaultState};
 use icn_cache::budget::per_node_budgets;
 use icn_cache::CacheSlot;
 use icn_topology::{Network, NodeId};
 use icn_workload::trace::Request;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 // lint:allow(deterministic-core): lane directories are keyed by object id; only value lookups and a commuting retain are used, and every observable order is re-established by sorting `dirty` at resync
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
+use std::ops::Range;
 
 /// Default epoch length in requests. Small enough that cross-PoP replica
 /// knowledge lags by well under a fault window at realistic scales, large
@@ -99,44 +97,50 @@ pub struct ShardRun {
     pub workers: usize,
 }
 
-/// True when the epoch-sharded engine can represent this network/design
-/// pair: nearest-replica routing needs the `u128` rank masks (trees up to
-/// [`MAX_MASK_TREE`] nodes), and shortest-path routing with cache-equipped
-/// PoP roots needs one residency bit per PoP (at most 128 PoPs). Callers
-/// fall back to the sequential simulator otherwise.
-pub fn supported(net: &Network, cfg: &ExperimentConfig) -> bool {
+/// Why the epoch-sharded engine cannot represent this network/design
+/// pair, or `None` when it can: nearest-replica routing needs the `u128`
+/// rank masks (trees up to [`MAX_MASK_TREE`] nodes), and shortest-path
+/// routing with cache-equipped PoP roots needs one residency bit per PoP
+/// (at most 128 PoPs).
+pub(crate) fn unsupported_reason(net: &Network, cfg: &ExperimentConfig) -> Option<String> {
     let spec = cfg.design.spec(net);
     match spec.routing {
-        Routing::NearestReplica => net.tree.nodes() <= MAX_MASK_TREE,
-        Routing::ShortestPathToOrigin => {
-            !spec.cache_set.has_cache(net, net.pop_root(0)) || net.pops() <= 128
+        Routing::NearestReplica if net.tree.nodes() > MAX_MASK_TREE => Some(format!(
+            "{} tree nodes per PoP exceed MAX_MASK_TREE = {MAX_MASK_TREE}",
+            net.tree.nodes()
+        )),
+        Routing::ShortestPathToOrigin
+            if net.pops() > 128 && spec.cache_set.has_cache(net, net.pop_root(0)) =>
+        {
+            Some(format!(
+                "{} PoPs with cache-equipped roots exceed the 128 root-residency bits",
+                net.pops()
+            ))
         }
+        _ => None,
     }
 }
 
-/// Read-only world shared by every lane during one epoch. All cross-PoP
-/// state a lane may consult lives here, frozen; everything mutable is
-/// lane-owned.
-struct Ctx<'a> {
-    net: &'a Network,
-    spec: &'a DesignSpec,
-    cfg: &'a ExperimentConfig,
-    costs: &'a CostTable,
-    origins: &'a [u16],
-    sizes: &'a [u32],
-    /// `equipped[n]` for every router in the network — the pure
-    /// `CacheSet::has_cache` answer, needed for foreign routers on
-    /// response paths (LCD slot consumption and RNG draws key on it).
-    equipped: &'a [bool],
-    /// Frozen replica directory (nearest-replica routing): lanes read
-    /// foreign PoP groups from here and their own PoP from the live
-    /// per-lane directory.
-    masks: Option<&'a ReplicaMasks>,
-    /// Frozen PoP-root residency (shortest-path routing with equipped
-    /// roots): bit `p` of `roots[o]` marks object `o` cached at PoP `p`'s
-    /// root as of the last reconcile.
-    roots: Option<&'a [u128]>,
-    reference: bool,
+/// True when the epoch-sharded engine can represent this network/design
+/// pair (see [`unsupported_reason`] for the limits). Callers fall back to
+/// the sequential simulator otherwise.
+pub fn supported(net: &Network, cfg: &ExperimentConfig) -> bool {
+    unsupported_reason(net, cfg).is_none()
+}
+
+/// Cross-PoP state as of the last reconcile — everything a lane may
+/// consult about a PoP it does not own. Frozen while an epoch runs (lanes
+/// share it read-only through [`Env::frozen`]) and rewritten by
+/// [`LaneWorld::resync`] at the boundary.
+#[derive(Default)]
+pub(crate) struct Frozen {
+    /// Replica directory (nearest-replica routing): lanes read foreign
+    /// PoP groups from here and their own PoP from the live lane
+    /// directory.
+    pub(crate) masks: Option<ReplicaMasks>,
+    /// PoP-root residency (shortest-path routing with equipped roots):
+    /// bit `p` of `roots[o]` marks object `o` cached at PoP `p`'s root.
+    pub(crate) roots: Option<Vec<u128>>,
 }
 
 /// One cross-PoP effect, recorded during an epoch and applied at the
@@ -152,31 +156,12 @@ enum Delta {
     Insert { idx: u64, node: NodeId, object: u32 },
 }
 
-/// Where a shortest-path request was served (lane-local mirror of the
-/// sequential simulator's choice).
-#[derive(Clone, Copy)]
-enum Server {
-    Cache { node: NodeId, path_idx: usize },
-    Sibling { sibling: NodeId, via_idx: usize },
-    Origin,
-}
-
-/// Nearest-replica outcome under faults (lane-local mirror).
-enum NrChoice {
-    Replica {
-        cost: f64,
-        node: NodeId,
-        poisoned: bool,
-    },
-    Origin,
-    Failed,
-}
-
-/// All mutable state of one PoP: its caches, its slice of the request
-/// stream for the current epoch, and its private views of the capacity
-/// and fault models. A lane only ever touches its own fields plus the
-/// frozen [`Ctx`], which is what makes epochs embarrassingly parallel.
-struct Lane {
+/// A lane's [`World`]: the caches and directory of one PoP, live; every
+/// other PoP through the [`Frozen`] snapshot. Reads of a foreign router
+/// see the snapshot; writes to one are logged as [`Delta`]s for the
+/// reconcile. A lane only ever touches its own fields plus the shared
+/// read-only [`Env`], which is what makes epochs embarrassingly parallel.
+pub(crate) struct LaneWorld {
     pop: u32,
     node_base: NodeId,
     tn: u32,
@@ -194,202 +179,177 @@ struct Lane {
     /// The own root cache was crash-flushed this epoch (shortest-path
     /// residency tracking needs a full sweep, not a dirty list).
     root_flush: bool,
-    track_masks: bool,
-    track_roots: bool,
-    /// Private full-network serving-capacity view (documented deviation:
-    /// per-lane counters, not a global tracker).
-    capacity: Option<CapacityTracker>,
-    /// Private fault materialization. The schedule is a pure function of
-    /// `(seed, entity, window)`, so every lane rebuilds identical
-    /// node/link/origin state; only the cascade seeding (fed by the
-    /// per-lane capacity view above) is a documented deviation.
-    fault: Option<FaultState>,
-    /// Pending own-PoP lease expiries, monotone within an epoch; foreign
-    /// inserts merge in at the boundary via `ttl_pending`.
-    ttl_queue: VecDeque<(u64, NodeId, u32)>,
-    /// Leases opened by foreign-sourced inserts during reconcile, merged
-    /// into `ttl_queue` (sorted, stable w.r.t. existing entries) at
-    /// `close_epoch`.
-    ttl_pending: Vec<(u64, NodeId, u32)>,
-    ttl_len: Option<u64>,
-    /// Per-lane insertion RNG. Lane 0 uses the sequential simulator's
-    /// seed so a single-PoP network reproduces it bit-for-bit.
-    rng: StdRng,
-    metrics: RunMetrics,
     /// Cross-PoP effects recorded this epoch, in emission order.
     deltas: Vec<Delta>,
-    /// This lane's slice of the epoch: `(global request idx, request)`.
-    bucket: Vec<(u64, Request)>,
-    // Persistent scratch, same rationale as the sequential simulator's.
-    path_buf: Vec<NodeId>,
-    nodes_buf: Vec<NodeId>,
-    links_buf: Vec<u32>,
-    siblings_buf: Vec<u32>,
-    cand_cost: Vec<f64>,
-    cand_node: Vec<NodeId>,
-    cand_pairs: Vec<(f64, NodeId)>,
 }
 
-impl Lane {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        pop: u32,
-        net: &Network,
-        cfg: &ExperimentConfig,
-        spec: &DesignSpec,
-        budgets: &[usize],
-        objects: usize,
-        track_masks: bool,
-        track_roots: bool,
-    ) -> Self {
-        let tn = net.tree.nodes();
-        let node_base = pop * tn;
-        let mut caches: Vec<CacheSlot> = Vec::with_capacity(tn as usize);
-        for t in 0..tn {
-            let n = node_base + t;
-            if spec.cache_set.has_cache(net, n) {
-                let cap = if spec.infinite_budget {
-                    objects
-                } else {
-                    (budgets[n as usize] as f64 * spec.budget_multiplier).round() as usize
-                };
-                caches.push(CacheSlot::build(cfg.policy, cap));
-            } else {
-                caches.push(CacheSlot::None);
-            }
-        }
-        let ttl_len = caches.iter().find_map(CacheSlot::ttl);
-        Self {
-            pop,
-            node_base,
-            tn,
-            caches,
-            dir: Default::default(),
-            dirty: Vec::new(),
-            root_flush: false,
-            track_masks,
-            track_roots,
-            capacity: cfg
-                .capacity
-                .map(|c| CapacityTracker::new(c, net.node_count() as usize)),
-            fault: cfg
-                .fault
-                .map(|fc| FaultState::new(FaultSchedule::new(fc), net)),
-            ttl_queue: VecDeque::new(),
-            ttl_pending: Vec::new(),
-            ttl_len,
-            // Golden-ratio-stride seeds: distinct per lane, legacy seed at
-            // lane 0 (single-PoP equivalence includes the RNG stream).
-            rng: StdRng::seed_from_u64(
-                0xd1ce_cafe ^ (pop as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-            ),
-            metrics: RunMetrics::new(
-                net.link_count() as usize,
-                net.pops() as usize,
-                net.tree.depth,
-            ),
-            deltas: Vec::new(),
-            bucket: Vec::new(),
-            path_buf: Vec::new(),
-            nodes_buf: Vec::new(),
-            links_buf: Vec::new(),
-            siblings_buf: Vec::new(),
-            cand_cost: Vec::new(),
-            cand_node: Vec::new(),
-            cand_pairs: Vec::new(),
+impl LaneWorld {
+    /// Tree index of `node` when this lane owns it.
+    #[inline]
+    fn own(&self, node: NodeId) -> Option<u32> {
+        let t = node.wrapping_sub(self.node_base);
+        (t < self.tn).then_some(t)
+    }
+
+    #[inline]
+    fn own_mask(&self, object: u32) -> u128 {
+        self.dir.get(&object).copied().unwrap_or(0)
+    }
+
+    /// The frozen groups of `object` in every PoP but this lane's (whose
+    /// live directory supersedes its published group).
+    #[inline]
+    fn foreign_groups<'e>(
+        &self,
+        env: &'e Env,
+        object: u32,
+    ) -> impl Iterator<Item = (u32, u128)> + 'e {
+        let pop = self.pop;
+        let groups = env.frozen.masks.as_ref().map(|m| m.entries(object));
+        groups
+            .into_iter()
+            .flatten()
+            .copied()
+            .filter(move |&(p, _)| p != pop)
+    }
+
+    /// Marks `object` present at own tree index `t` in the lane directory
+    /// (or root-residency dirty list).
+    fn dir_note_insert(&mut self, env: &Env, t: u32, object: u32) {
+        if env.frozen.masks.is_some() {
+            *self.dir.entry(object).or_insert(0) |= 1u128 << env.costs.rank_of(t);
+            self.dirty.push(object);
+        } else if env.frozen.roots.is_some() && t == 0 {
+            self.dirty.push(object);
         }
     }
 
-    /// Drains this lane's epoch bucket through the request pipeline.
-    fn run_bucket(&mut self, ctx: &Ctx) {
-        let mut bucket = std::mem::take(&mut self.bucket);
-        for &(idx, req) in &bucket {
-            self.process(ctx, idx, req);
-        }
-        bucket.clear();
-        self.bucket = bucket;
-    }
-
-    /// One request, mirroring `Simulator::process` (minus instrumentation:
-    /// instrumented runs stay on the sequential engine).
-    fn process(&mut self, ctx: &Ctx, idx: u64, req: Request) {
-        let leaf = ctx.net.leaf(req.pop as u32, req.leaf as u32);
-        let origin_pop = ctx.origins[req.object as usize] as u32;
-        self.metrics.requests += 1;
-        if self.ttl_len.is_some() {
-            self.expire_due(ctx.costs, idx);
-        }
-        if self.fault.is_some() {
-            self.advance_faults(ctx.net, ctx.costs, idx);
-        }
-        match ctx.spec.routing {
-            Routing::ShortestPathToOrigin => {
-                self.process_sp(ctx, idx, leaf, req.object, origin_pop)
+    /// Clears `object` at own tree index `t` from the lane directory (or
+    /// marks root residency dirty).
+    fn dir_note_remove(&mut self, env: &Env, t: u32, object: u32) {
+        if env.frozen.masks.is_some() {
+            if let Some(mask) = self.dir.get_mut(&object) {
+                *mask &= !(1u128 << env.costs.rank_of(t));
+                if *mask == 0 {
+                    self.dir.remove(&object);
+                }
+                self.dirty.push(object);
             }
-            Routing::NearestReplica => self.process_nr(ctx, idx, leaf, req.object, origin_pop),
+        } else if env.frozen.roots.is_some() && t == 0 {
+            self.dirty.push(object);
         }
     }
 
-    /// Retires own-PoP leases due at or before `now` (see
-    /// `Simulator::expire_due` for the stamp contract).
-    fn expire_due(&mut self, costs: &CostTable, now: u64) {
-        while let Some(&(stamp, node, object)) = self.ttl_queue.front() {
-            if stamp > now {
-                break;
+    /// Publishes this lane's dirty directory entries into the shared
+    /// snapshot. Dirty lists are sorted + deduped first, so the writes —
+    /// and therefore the snapshot — are independent of the (unordered)
+    /// discovery order within the epoch.
+    fn resync(&mut self, frozen: &mut Frozen) {
+        self.dirty.sort_unstable();
+        self.dirty.dedup();
+        if let Some(masks) = &mut frozen.masks {
+            for &o in &self.dirty {
+                masks.set_group(o, self.pop, self.own_mask(o));
             }
-            self.ttl_queue.pop_front();
-            let t = node - self.node_base;
-            if self.caches[t as usize].expire(object as u64, stamp) {
-                self.dir_note_remove(costs, t, object);
-            }
-        }
-    }
-
-    /// Rolls this lane's fault state to the window containing `idx`,
-    /// crash-flushing *own* caches along the way (foreign crashes are the
-    /// owning lane's job — every lane sees the same pure schedule).
-    fn advance_faults(&mut self, net: &Network, costs: &CostTable, idx: u64) {
-        let Some(mut fault) = self.fault.take() else {
-            return;
-        };
-        let w = fault.schedule.window_of(idx);
-        if w != fault.window {
-            let first = if fault.window == u64::MAX {
-                0
-            } else {
-                fault.window + 1
-            };
-            for step in first..=w {
-                for t in 0..self.tn {
-                    if !self.caches[t as usize].is_equipped() {
-                        continue;
-                    }
-                    let node = self.node_base + t;
-                    let crashed = fault.schedule.node_crashes(node, step)
-                        || fault.groups.as_ref().is_some_and(|g| {
-                            let grp = g.node_group(node);
-                            grp != NO_GROUP && fault.schedule.group_event(grp, step)
-                        });
-                    if crashed {
-                        self.flush_cache(costs, t);
+        } else if let Some(roots) = &mut frozen.roots {
+            let bit = 1u128 << self.pop;
+            let root = &self.caches[0];
+            if self.root_flush {
+                self.root_flush = false;
+                for (o, m) in roots.iter_mut().enumerate() {
+                    if *m & bit != 0 && !root.contains(o as u64) {
+                        *m &= !bit;
                     }
                 }
             }
-            fault.rebuild(w, net);
+            for &o in &self.dirty {
+                if root.contains(o as u64) {
+                    roots[o as usize] |= bit;
+                } else {
+                    roots[o as usize] &= !bit;
+                }
+            }
         }
-        self.fault = Some(fault);
+        self.dirty.clear();
+    }
+}
+
+impl World for LaneWorld {
+    #[inline]
+    fn owned(&self, _env: &Env) -> Range<NodeId> {
+        self.node_base..self.node_base + self.tn
     }
 
-    /// Empties the own cache at tree index `t` (crash semantics), keeping
-    /// the lane directory consistent.
-    fn flush_cache(&mut self, costs: &CostTable, t: u32) {
-        if !self.caches[t as usize].is_equipped() {
-            return;
+    /// Live own caches; frozen root residency for foreign routers
+    /// (shortest-path walks only ever cross foreign *PoP roots* — the core
+    /// path is root-to-root).
+    #[inline]
+    fn contains(&self, env: &Env, node: NodeId, object: u32) -> bool {
+        match self.own(node) {
+            Some(t) => self.caches[t as usize].contains(object as u64),
+            None => env
+                .frozen
+                .roots
+                .as_ref()
+                .is_some_and(|roots| roots[object as usize] & (1u128 << (node / self.tn)) != 0),
         }
+    }
+
+    #[inline]
+    fn touch(&mut self, node: NodeId, object: u32) {
+        match self.own(node) {
+            Some(t) => self.caches[t as usize].touch(object as u64),
+            None => self.deltas.push(Delta::Touch { node, object }),
+        }
+    }
+
+    fn remove(&mut self, env: &Env, node: NodeId, object: u32) {
+        match self.own(node) {
+            Some(t) => {
+                if self.caches[t as usize].remove(object as u64) {
+                    self.dir_note_remove(env, t, object);
+                }
+            }
+            None => self.deltas.push(Delta::Evict { node, object }),
+        }
+    }
+
+    /// A foreign insert is deferred: the kernel already ran the origin,
+    /// crash and equipment gates at emission time, against the same window
+    /// the sequential engine would consult; the owning lane stores it (and
+    /// opens its lease) at the boundary.
+    #[inline]
+    fn store(&mut self, env: &Env, idx: u64, node: NodeId, object: u32) -> bool {
+        let Some(t) = self.own(node) else {
+            self.deltas.push(Delta::Insert { idx, node, object });
+            return false;
+        };
+        let c = &mut self.caches[t as usize];
+        let had = c.contains(object as u64);
+        let evicted = c.insert_at(object as u64, idx);
+        let stored = c.contains(object as u64);
+        if let Some(e) = evicted {
+            self.dir_note_remove(env, t, e as u32);
+        }
+        if !had && stored {
+            self.dir_note_insert(env, t, object);
+        }
+        stored
+    }
+
+    fn expire(&mut self, env: &Env, node: NodeId, object: u32, stamp: u64) {
+        let t = node - self.node_base;
+        if self.caches[t as usize].expire(object as u64, stamp) {
+            self.dir_note_remove(env, t, object);
+        }
+    }
+
+    fn flush(&mut self, env: &Env, node: NodeId) {
+        let t = node - self.node_base;
         if !self.caches[t as usize].is_empty() {
-            if self.track_masks {
-                let bit = 1u128 << costs.rank_of(t);
-                let Lane { dir, dirty, .. } = self;
+            if env.frozen.masks.is_some() {
+                let bit = 1u128 << env.costs.rank_of(t);
+                let LaneWorld { dir, dirty, .. } = self;
                 // Commuting per-entry bit clear; dirty order is
                 // canonicalized by the sort at resync.
                 dir.retain(|&o, mask| {
@@ -399,850 +359,111 @@ impl Lane {
                     }
                     *mask != 0
                 });
-            } else if self.track_roots && t == 0 {
+            } else if env.frozen.roots.is_some() && t == 0 {
                 self.root_flush = true;
             }
         }
         self.caches[t as usize].clear();
     }
 
-    /// Marks `object` present at own tree index `t` in the lane directory
-    /// (or root-residency dirty list).
-    fn dir_note_insert(&mut self, costs: &CostTable, t: u32, object: u32) {
-        if self.track_masks {
-            let r = costs.rank_of(t);
-            *self.dir.entry(object).or_insert(0) |= 1u128 << r;
-            self.dirty.push(object);
-        } else if self.track_roots && t == 0 {
-            self.dirty.push(object);
-        }
-    }
-
-    /// Clears `object` at own tree index `t` from the lane directory (or
-    /// marks root residency dirty).
-    fn dir_note_remove(&mut self, costs: &CostTable, t: u32, object: u32) {
-        if self.track_masks {
-            let r = costs.rank_of(t);
-            if let Some(mask) = self.dir.get_mut(&object) {
-                *mask &= !(1u128 << r);
-                if *mask == 0 {
-                    self.dir.remove(&object);
-                }
-                self.dirty.push(object);
-            }
-        } else if self.track_roots && t == 0 {
-            self.dirty.push(object);
-        }
-    }
-
-    /// True when the cache node is not crashed this window.
     #[inline]
-    fn node_up(&self, node: NodeId) -> bool {
-        self.fault
-            .as_ref()
-            .is_none_or(|f| !f.node_down[node as usize])
+    fn nearest(&self, env: &Env, leaf: NodeId, object: u32) -> Option<(f64, NodeId)> {
+        let from = env.costs.from(leaf);
+        let mut best = None;
+        from.min_in_group(self.pop, self.own_mask(object), &mut best);
+        for (p, mask) in self.foreign_groups(env, object) {
+            from.min_in_group(p, mask, &mut best);
+        }
+        best
     }
 
-    /// True when every link on the unique path between `a` and `b` is up.
-    fn path_live(&mut self, net: &Network, a: NodeId, b: NodeId) -> bool {
-        match &self.fault {
-            None => return true,
-            Some(f) if !f.any_link_down => return true,
-            Some(_) => {}
-        }
-        let mut links = std::mem::take(&mut self.links_buf);
-        links.clear();
-        net.path_links_into(a, b, &mut links);
-        let live = match &self.fault {
-            Some(f) => links.iter().all(|&l| !f.link_down[l as usize]),
-            None => true,
-        };
-        self.links_buf = links;
-        live
-    }
-
-    /// The link id between two adjacent routers on a climb-only path.
-    #[inline]
-    fn link_between(&self, net: &Network, a: NodeId, b: NodeId) -> u32 {
-        let (pa, pb) = (net.pop_of(a), net.pop_of(b));
-        if pa == pb {
-            net.tree_link(a)
-        } else {
-            net.core_link(pa, pb)
-        }
-    }
-
-    /// Index of the last node on `path` reachable from `path[0]` under
-    /// the current link faults.
-    fn reachable_prefix(&self, net: &Network, path: &[NodeId]) -> usize {
-        let last = path.len() - 1;
-        let Some(f) = &self.fault else {
-            return last;
-        };
-        if !f.any_link_down {
-            return last;
-        }
-        for j in 1..path.len() {
-            if f.link_down[self.link_between(net, path[j - 1], path[j]) as usize] {
-                return j - 1;
-            }
-        }
-        last
-    }
-
-    /// Origin-serve gate under degraded-origin faults (per-lane capacity
-    /// view — documented deviation).
-    #[inline]
-    fn try_origin(&mut self, origin_pop: u32, idx: u64) -> bool {
-        match &mut self.fault {
-            None => true,
-            Some(f) => {
-                !f.origin_degraded[origin_pop as usize]
-                    || f.origin_capacity.try_serve(origin_pop, idx)
-            }
-        }
-    }
-
-    #[inline]
-    fn record_served(&mut self, latency: f64) {
-        self.metrics.total_latency += latency;
-        self.metrics.record_latency(latency);
-        if self.fault.as_ref().is_some_and(|f| f.fault_active) {
-            self.metrics.record_fault_latency(latency);
-        }
-    }
-
-    #[inline]
-    fn record_failed(&mut self) {
-        self.metrics.failed_requests += 1;
-    }
-
-    /// True when the cached copy of `object` at `node` is corrupted this
-    /// window (a pure schedule read — valid for foreign nodes too).
-    #[inline]
-    fn replica_corrupted(&self, node: NodeId, object: u32) -> bool {
-        self.fault
-            .as_ref()
-            .is_some_and(|f| f.schedule.replica_corrupted(node, object, f.window))
-    }
-
-    /// Capacity gate (per-lane counters — documented deviation).
-    #[inline]
-    fn try_capacity(&mut self, node: NodeId, idx: u64) -> bool {
-        match &mut self.capacity {
-            None => true,
-            Some(t) => t.try_serve(node, idx),
-        }
-    }
-
-    #[inline]
-    fn transfer_weight(&self, ctx: &Ctx, object: u32) -> u64 {
-        if ctx.cfg.weight_by_size {
-            ctx.sizes[object as usize] as u64
-        } else {
-            1
-        }
-    }
-
-    #[inline]
-    fn add_transfer(&mut self, link: u32, weight: u64) {
-        self.metrics.link_transfers[link as usize] += weight;
-    }
-
-    /// Path cost, flat table or reference recomputation (bit-identical).
-    #[inline]
-    fn path_cost(&self, ctx: &Ctx, a: NodeId, b: NodeId) -> f64 {
-        if ctx.reference {
-            ctx.cfg.latency.path_cost(ctx.net, a, b)
-        } else {
-            ctx.costs.path_cost(a, b)
-        }
-    }
-
-    /// Membership probe: live own caches, frozen root residency for
-    /// foreign routers (shortest-path walks only ever cross foreign *PoP
-    /// roots* — the core path is root-to-root).
-    #[inline]
-    fn cache_contains(&self, ctx: &Ctx, node: NodeId, object: u32) -> bool {
-        if !self.node_up(node) {
-            return false;
-        }
-        let p = node / self.tn;
-        if p == self.pop {
-            self.caches[(node - self.node_base) as usize].contains(object as u64)
-        } else {
-            match ctx.roots {
-                Some(roots) => roots[object as usize] & (1u128 << p) != 0,
-                None => false,
-            }
-        }
-    }
-
-    /// Recency credit: in place for own caches, deferred for foreign.
-    #[inline]
-    fn cache_touch(&mut self, node: NodeId, object: u32) {
-        if node / self.tn == self.pop {
-            self.caches[(node - self.node_base) as usize].touch(object as u64);
-        } else {
-            self.deltas.push(Delta::Touch { node, object });
-        }
-    }
-
-    /// Drops a detected-poisoned replica: in place for own caches,
-    /// deferred for foreign.
-    fn evict_replica(&mut self, costs: &CostTable, node: NodeId, object: u32) {
-        if node / self.tn == self.pop {
-            let t = node - self.node_base;
-            if self.caches[t as usize].remove(object as u64) {
-                self.dir_note_remove(costs, t, object);
-            }
-        } else {
-            self.deltas.push(Delta::Evict { node, object });
-        }
-    }
-
-    /// Inserts `object` at `node` at logical time `idx`: in place for own
-    /// caches, deferred (as a [`Delta::Insert`]) for foreign. The
-    /// origin-root, crash, and equipment gates run here at emission time,
-    /// against the same window the sequential simulator would consult.
-    fn cache_insert(&mut self, ctx: &Ctx, idx: u64, node: NodeId, object: u32) {
-        let p = node / self.tn;
-        let t = node - p * self.tn;
-        if ctx.origins[object as usize] as u32 == p && t == 0 {
-            return; // origin roots never cache what they already host
-        }
-        if !self.node_up(node) {
-            return;
-        }
-        if !ctx.equipped[node as usize] {
-            return;
-        }
-        if p != self.pop {
-            self.deltas.push(Delta::Insert { idx, node, object });
-            return;
-        }
-        let c = &mut self.caches[t as usize];
-        let had = c.contains(object as u64);
-        let evicted = c.insert_at(object as u64, idx);
-        let stored = c.contains(object as u64);
-        if let Some(ttl) = self.ttl_len {
-            if stored {
-                self.ttl_queue.push_back((idx + ttl, node, object));
-            }
-        }
-        if let Some(e) = evicted {
-            self.dir_note_remove(ctx.costs, t, e as u32);
-        }
-        if !had && stored {
-            self.dir_note_insert(ctx.costs, t, object);
-        }
-    }
-
-    /// Response-path insertion policy for one router (mirrors
-    /// `Simulator::insert_on_response`, including the LCD slot and the
-    /// RNG draw keying on equipment of *foreign* routers via the shared
-    /// pure `equipped` table).
-    #[inline]
-    fn insert_on_response(
-        &mut self,
-        ctx: &Ctx,
-        idx: u64,
-        node: NodeId,
-        object: u32,
-        lcd_available: &mut bool,
-    ) {
-        let equipped = ctx.equipped[node as usize];
-        let insert = match ctx.cfg.insertion {
-            InsertionPolicy::Everywhere => true,
-            InsertionPolicy::LeaveCopyDown => {
-                let take = equipped && *lcd_available;
-                if take {
-                    *lcd_available = false;
-                }
-                take
-            }
-            InsertionPolicy::Probabilistic { p } => equipped && self.rng.gen::<f64>() < p,
-        };
-        if insert {
-            self.cache_insert(ctx, idx, node, object);
-        }
-    }
-
-    /// True when both links of the sibling detour are up.
-    #[inline]
-    fn detour_live(&self, net: &Network, via: NodeId, sibling: NodeId) -> bool {
-        match &self.fault {
-            None => true,
-            Some(f) => {
-                !f.any_link_down
-                    || (!f.link_down[net.tree_link(via) as usize]
-                        && !f.link_down[net.tree_link(sibling) as usize])
-            }
-        }
-    }
-
-    /// Shortest-path-to-origin routing (mirrors `Simulator::process_sp`;
-    /// foreign on-path routers are PoP roots probed through the frozen
-    /// residency bits).
-    fn process_sp(&mut self, ctx: &Ctx, idx: u64, leaf: NodeId, object: u32, origin_pop: u32) {
-        let mut path = std::mem::take(&mut self.path_buf);
-        ctx.net.sp_path_nodes_into(leaf, origin_pop, &mut path);
-        let last = path.len() - 1;
-        let reach = self.reachable_prefix(ctx.net, &path);
-
-        let mut server = if reach == last {
-            Some(Server::Origin)
-        } else {
-            None
-        };
-        let mut penalty = 0.0;
-        let mut poisoned = false;
-        'walk: for (i, &node) in path.iter().enumerate() {
-            if i == last || i > reach {
-                break; // the origin always serves what it owns
-            }
-            if self.cache_contains(ctx, node, object) && self.try_capacity(node, idx) {
-                if self.replica_corrupted(node, object) {
-                    if ctx.spec.self_certifying {
-                        self.metrics.corrupt_detected += 1;
-                        self.evict_replica(ctx.costs, node, object);
-                        penalty += self.path_cost(ctx, path[0], node) + 1.0;
-                    } else {
-                        poisoned = true;
-                        server = Some(Server::Cache { node, path_idx: i });
-                        break;
-                    }
-                } else {
-                    server = Some(Server::Cache { node, path_idx: i });
-                    break;
-                }
-            }
-            if ctx.spec.sibling_coop
-                && ctx.equipped[node as usize]
-                && self.node_up(node)
-                && ctx.net.tree_index(node) != 0
-            {
-                // Scoped cooperative lookup; non-root on-path nodes are
-                // always in the requesting lane's own PoP.
-                let pop = ctx.net.pop_of(node);
-                let t = ctx.net.tree_index(node);
-                let mut sibs = std::mem::take(&mut self.siblings_buf);
-                sibs.clear();
-                sibs.extend(ctx.net.tree.siblings(t));
-                let mut found = None;
-                for &st in &sibs {
-                    let sib = ctx.net.node(pop, st);
-                    if self.detour_live(ctx.net, node, sib)
-                        && self.cache_contains(ctx, sib, object)
-                        && self.try_capacity(sib, idx)
-                    {
-                        if self.replica_corrupted(sib, object) {
-                            if ctx.spec.self_certifying {
-                                self.metrics.corrupt_detected += 1;
-                                self.evict_replica(ctx.costs, sib, object);
-                                penalty += self.path_cost(ctx, path[0], sib) + 1.0;
-                                continue; // next sibling may hold a clean copy
-                            }
-                            poisoned = true;
-                        }
-                        found = Some(sib);
-                        break;
-                    }
-                }
-                self.siblings_buf = sibs;
-                if let Some(sib) = found {
-                    server = Some(Server::Sibling {
-                        sibling: sib,
-                        via_idx: i,
-                    });
-                    break 'walk;
-                }
-            }
-        }
-
-        if matches!(server, Some(Server::Origin)) && !self.try_origin(origin_pop, idx) {
-            server = None;
-        }
-        match server {
-            Some(server) => {
-                self.account_sp(
-                    ctx, idx, &path, server, object, origin_pop, penalty, poisoned,
-                );
-            }
-            None => self.record_failed(),
-        }
-        self.path_buf = path;
-    }
-
-    /// Latency/congestion/insertion accounting for a shortest-path serve
-    /// (mirrors `Simulator::account_sp`).
-    #[allow(clippy::too_many_arguments)]
-    fn account_sp(
-        &mut self,
-        ctx: &Ctx,
-        idx: u64,
-        path: &[NodeId],
-        server: Server,
-        object: u32,
-        origin_pop: u32,
-        penalty: f64,
-        poisoned: bool,
-    ) {
-        let depth = ctx.net.tree.depth;
-        let weight = self.transfer_weight(ctx, object);
-        let (serve_idx, detour_cost) = match server {
-            Server::Cache { path_idx, .. } => (path_idx, 0.0),
-            Server::Origin => (path.len() - 1, 0.0),
-            Server::Sibling { sibling, via_idx } => {
-                let level = ctx.net.level_of(path[via_idx]);
-                let link_cost = ctx.cfg.latency.tree_link_cost(level, depth);
-                self.add_transfer(ctx.net.tree_link(sibling), weight);
-                self.add_transfer(ctx.net.tree_link(path[via_idx]), weight);
-                (via_idx, 2.0 * link_cost)
-            }
-        };
-
-        for j in 1..=serve_idx {
-            let (a, b) = (path[j - 1], path[j]);
-            let (pa, pb) = (ctx.net.pop_of(a), ctx.net.pop_of(b));
-            if pa == pb {
-                self.add_transfer(ctx.net.tree_link(a), weight);
-            } else {
-                self.add_transfer(ctx.net.core_link(pa, pb), weight);
-            }
-        }
-        let cost = if ctx.reference {
-            let mut c = 0.0;
-            for j in 1..=serve_idx {
-                let (a, b) = (path[j - 1], path[j]);
-                if ctx.net.pop_of(a) == ctx.net.pop_of(b) {
-                    c += ctx.cfg.latency.tree_link_cost(ctx.net.level_of(a), depth);
-                } else {
-                    c += ctx.cfg.latency.core_link_cost(depth);
-                }
-            }
-            c
-        } else {
-            ctx.costs.path_cost(path[0], path[serve_idx])
-        };
-        let latency = cost + detour_cost + 1.0 + penalty;
-        self.record_served(latency);
-        if poisoned {
-            self.metrics.corrupt_served += 1;
-        }
-
-        match server {
-            Server::Cache { node, .. } => {
-                self.metrics.cache_hits += 1;
-                let level = ctx.net.level_of(node);
-                self.metrics.hits_by_level[level as usize] += 1;
-                self.cache_touch(node, object);
-            }
-            Server::Sibling { sibling, .. } => {
-                self.metrics.cache_hits += 1;
-                self.metrics.coop_hits += 1;
-                let level = ctx.net.level_of(sibling);
-                self.metrics.hits_by_level[level as usize] += 1;
-                self.cache_touch(sibling, object);
-            }
-            Server::Origin => {
-                self.metrics.origin_hits += 1;
-                self.metrics.origin_served[origin_pop as usize] += 1;
-            }
-        }
-
-        let mut lcd_available = true;
-        match server {
-            Server::Sibling { via_idx, .. } => {
-                if via_idx + 1 < path.len() {
-                    self.insert_on_response(
-                        ctx,
-                        idx,
-                        path[via_idx + 1],
-                        object,
-                        &mut lcd_available,
-                    );
-                }
-                self.insert_on_response(ctx, idx, path[via_idx], object, &mut lcd_available);
-                for j in (0..via_idx).rev() {
-                    self.insert_on_response(ctx, idx, path[j], object, &mut lcd_available);
-                }
-            }
-            _ => {
-                for j in (0..serve_idx).rev() {
-                    self.insert_on_response(ctx, idx, path[j], object, &mut lcd_available);
-                }
-            }
-        }
-    }
-
-    /// Nearest-replica routing (mirrors `Simulator::process_nr`): own-PoP
-    /// candidates come from the live lane directory, foreign PoPs from
-    /// the frozen epoch snapshot.
-    fn process_nr(&mut self, ctx: &Ctx, idx: u64, leaf: NodeId, object: u32, origin_pop: u32) {
-        let origin_root = ctx.net.pop_root(origin_pop);
-
-        let leaf_hit = self.cache_contains(ctx, leaf, object) && self.try_capacity(leaf, idx);
-        let mut penalty = 0.0;
-        if leaf_hit {
-            let leaf_poisoned = self.replica_corrupted(leaf, object);
-            if leaf_poisoned && ctx.spec.self_certifying {
-                self.metrics.corrupt_detected += 1;
-                self.evict_replica(ctx.costs, leaf, object);
-                penalty = 1.0;
-            } else {
-                if leaf_poisoned {
-                    self.metrics.corrupt_served += 1;
-                }
-                self.record_served(1.0);
-                self.metrics.cache_hits += 1;
-                let level = ctx.net.level_of(leaf);
-                self.metrics.hits_by_level[level as usize] += 1;
-                self.cache_touch(leaf, object);
-                return;
-            }
-        }
-
-        let origin_cost = self.path_cost(ctx, leaf, origin_root);
-        let choice = if self.fault.is_none() {
-            let server = if self.capacity.is_some() {
-                self.select_nr_capacity(ctx, leaf, object, origin_cost, idx)
-            } else {
-                let mut best: Option<(f64, NodeId)> = None;
-                if ctx.reference {
-                    let mut pairs = std::mem::take(&mut self.cand_pairs);
-                    pairs.clear();
-                    self.extend_pairs(ctx, object, leaf, &mut pairs);
-                    for &(c, n) in &pairs {
-                        if best.is_none_or(|(bc, bn)| c < bc || (c == bc && n < bn)) {
-                            best = Some((c, n));
-                        }
-                    }
-                    self.cand_pairs = pairs;
-                } else {
-                    let from = ctx.costs.from(leaf);
-                    let own = self.dir.get(&object).copied().unwrap_or(0);
-                    from.min_in_own_mask(own, &mut best);
-                    if let Some(masks) = ctx.masks {
-                        for &(p, mask) in masks.entries(object) {
-                            if p == self.pop {
-                                continue; // live own directory already scanned
-                            }
-                            let r = mask.trailing_zeros();
-                            let c = from.to_pop_rank(p, r);
-                            let n = p * self.tn + ctx.costs.t_of_rank(r);
-                            if best.is_none_or(|(bc, bn)| c < bc || (c == bc && n < bn)) {
-                                best = Some((c, n));
-                            }
-                        }
-                    }
-                }
-                best.filter(|&(c, _)| c < origin_cost)
-            };
-            match server {
-                Some((c, n)) => NrChoice::Replica {
-                    cost: c,
-                    node: n,
-                    poisoned: false,
-                },
-                None => NrChoice::Origin,
-            }
-        } else {
-            self.select_nr_faulted(
-                ctx,
-                leaf,
-                object,
-                origin_root,
-                origin_cost,
-                idx,
-                &mut penalty,
-            )
-        };
-
-        let (cost, server_node, is_origin, poisoned) = match choice {
-            NrChoice::Replica {
-                cost,
-                node,
-                poisoned,
-            } => (cost, node, false, poisoned),
-            NrChoice::Origin => {
-                if !self.try_origin(origin_pop, idx) {
-                    self.record_failed();
-                    return;
-                }
-                (origin_cost, origin_root, true, false)
-            }
-            NrChoice::Failed => {
-                self.record_failed();
-                return;
-            }
-        };
-
-        let latency = cost + 1.0 + penalty;
-        self.record_served(latency);
-        if poisoned {
-            self.metrics.corrupt_served += 1;
-        }
-        if is_origin {
-            self.metrics.origin_hits += 1;
-            self.metrics.origin_served[origin_pop as usize] += 1;
-        } else {
-            self.metrics.cache_hits += 1;
-            let level = ctx.net.level_of(server_node);
-            self.metrics.hits_by_level[level as usize] += 1;
-            self.cache_touch(server_node, object);
-        }
-
-        let weight = self.transfer_weight(ctx, object);
-        let mut links = std::mem::take(&mut self.links_buf);
-        links.clear();
-        ctx.net.path_links_into(leaf, server_node, &mut links);
-        for &l in &links {
-            self.add_transfer(l, weight);
-        }
-        self.links_buf = links;
-
-        let mut nodes = std::mem::take(&mut self.nodes_buf);
-        nodes.clear();
-        ctx.net.path_nodes_into(server_node, leaf, &mut nodes);
-        let mut lcd_available = true;
-        for &n in nodes.iter().skip(1) {
-            self.insert_on_response(ctx, idx, n, object, &mut lcd_available);
-        }
-        self.nodes_buf = nodes;
-    }
-
-    /// Expands every candidate replica of `object` (live own directory +
-    /// frozen foreign groups, skipping `leaf`) into the parallel
-    /// cost/node arrays, dropping candidates at or above `max_cost` — the
-    /// lane mirror of `Simulator::extend_cands_from_masks`.
     fn extend_cands(
         &self,
-        ctx: &Ctx,
+        env: &Env,
         object: u32,
         leaf: NodeId,
         max_cost: f64,
         costs_out: &mut Vec<f64>,
         nodes_out: &mut Vec<NodeId>,
     ) {
-        let from = ctx.costs.from(leaf);
-        let ta = from.tree();
-        let mut bits = self.dir.get(&object).copied().unwrap_or(0);
-        while bits != 0 {
-            let r = bits.trailing_zeros();
-            bits &= bits - 1;
-            let t = ctx.costs.t_of_rank(r);
-            if t == ta {
-                continue; // the requesting leaf itself
-            }
-            let c = from.to_tree(t);
-            if c < max_cost {
-                costs_out.push(c);
-                nodes_out.push(self.node_base + t);
-            }
-        }
-        if let Some(masks) = ctx.masks {
-            for &(p, mask) in masks.entries(object) {
-                if p == self.pop {
-                    continue;
-                }
-                let mut bits = mask;
-                while bits != 0 {
-                    let r = bits.trailing_zeros();
-                    bits &= bits - 1;
-                    let c = from.to_pop_rank(p, r);
-                    if c < max_cost {
-                        costs_out.push(c);
-                        nodes_out.push(p * self.tn + ctx.costs.t_of_rank(r));
-                    }
-                }
-            }
+        let from = env.costs.from(leaf);
+        from.extend_from_group(
+            self.pop,
+            self.own_mask(object),
+            max_cost,
+            costs_out,
+            nodes_out,
+        );
+        for (p, mask) in self.foreign_groups(env, object) {
+            from.extend_from_group(p, mask, max_cost, costs_out, nodes_out);
         }
     }
 
-    /// Reference-shape candidate gather: `(cost, node)` tuples with
-    /// latency-model costs, no filtering (the legacy allocate-and-sort
-    /// selection shape, bit-identical to the flat arrays).
-    fn extend_pairs(&self, ctx: &Ctx, object: u32, leaf: NodeId, out: &mut Vec<(f64, NodeId)>) {
-        let mut bits = self.dir.get(&object).copied().unwrap_or(0);
-        while bits != 0 {
-            let r = bits.trailing_zeros();
-            bits &= bits - 1;
-            let n = self.node_base + ctx.costs.t_of_rank(r);
-            if n == leaf {
-                continue;
-            }
-            out.push((ctx.cfg.latency.path_cost(ctx.net, leaf, n), n));
+    fn for_each_replica(&self, env: &Env, object: u32, mut f: impl FnMut(NodeId)) {
+        ranks(self.own_mask(object)).for_each(|r| f(env.node_at(self.pop, r)));
+        for (p, mask) in self.foreign_groups(env, object) {
+            ranks(mask).for_each(|r| f(env.node_at(p, r)));
         }
-        if let Some(masks) = ctx.masks {
-            for &(p, mask) in masks.entries(object) {
-                if p == self.pop {
-                    continue;
-                }
-                let mut bits = mask;
-                while bits != 0 {
-                    let r = bits.trailing_zeros();
-                    bits &= bits - 1;
-                    let n = p * self.tn + ctx.costs.t_of_rank(r);
-                    out.push((ctx.cfg.latency.path_cost(ctx.net, leaf, n), n));
-                }
-            }
+    }
+}
+
+/// One PoP's kernel plus the epoch plumbing around it. The capacity and
+/// fault models inside the kernel are the lane's private views
+/// (documented deviations: per-lane counters, and cascade seeding fed by
+/// them); the fault schedule itself is pure, so every lane materializes
+/// identical node/link/origin state.
+struct Lane {
+    kernel: Kernel<LaneWorld>,
+    /// This lane's slice of the epoch: `(global request idx, request)`.
+    bucket: Vec<(u64, Request)>,
+    /// Leases opened by foreign-sourced inserts during reconcile, merged
+    /// into the kernel's TTL queue (sorted, stable w.r.t. existing
+    /// entries) at `close_epoch`.
+    ttl_pending: Vec<(u64, NodeId, u32)>,
+}
+
+impl Lane {
+    fn new(env: &Env, budgets: &[usize], pop: u32) -> Self {
+        let tn = env.net.tree.nodes();
+        let node_base = pop * tn;
+        let caches = env.build_slots(budgets, node_base..node_base + tn);
+        let ttl_len = caches.iter().find_map(CacheSlot::ttl);
+        let world = LaneWorld {
+            pop,
+            node_base,
+            tn,
+            caches,
+            dir: Default::default(),
+            dirty: Vec::new(),
+            root_flush: false,
+            deltas: Vec::new(),
+        };
+        // Golden-ratio-stride seeds: distinct per lane, the sequential
+        // seed at lane 0 (single-PoP equivalence includes the RNG stream).
+        let seed = RNG_SEED ^ (pop as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        Self {
+            kernel: Kernel::new(env, world, ttl_len, seed),
+            bucket: Vec::new(),
+            ttl_pending: Vec::new(),
         }
     }
 
-    /// Capacity-limited nearest-replica selection (mirrors
-    /// `Simulator::select_nr_capacity`, per-lane capacity view).
-    fn select_nr_capacity(
-        &mut self,
-        ctx: &Ctx,
-        leaf: NodeId,
-        object: u32,
-        origin_cost: f64,
-        idx: u64,
-    ) -> Option<(f64, NodeId)> {
-        if ctx.reference {
-            let mut cands = std::mem::take(&mut self.cand_pairs);
-            cands.clear();
-            self.extend_pairs(ctx, object, leaf, &mut cands);
-            cands.retain(|&(c, _)| c < origin_cost);
-            cands.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            let mut chosen = None;
-            for &(cost, node) in &cands {
-                if self.try_capacity(node, idx) {
-                    chosen = Some((cost, node));
-                    break;
-                }
-            }
-            self.cand_pairs = cands;
-            return chosen;
+    /// Drains this lane's epoch bucket through the request kernel.
+    fn run_bucket(&mut self, env: &Env) {
+        for (idx, req) in &self.bucket {
+            self.kernel.process(env, *idx, req);
         }
-        let mut costs = std::mem::take(&mut self.cand_cost);
-        let mut nodes = std::mem::take(&mut self.cand_node);
-        costs.clear();
-        nodes.clear();
-        self.extend_cands(ctx, object, leaf, origin_cost, &mut costs, &mut nodes);
-        let mut chosen = None;
-        while let Some(i) = min_candidate(&costs, &nodes) {
-            let (cost, node) = (costs[i], nodes[i]);
-            if self.try_capacity(node, idx) {
-                chosen = Some((cost, node));
-                break;
-            }
-            costs.swap_remove(i);
-            nodes.swap_remove(i);
-        }
-        self.cand_cost = costs;
-        self.cand_node = nodes;
-        chosen
-    }
-
-    /// Faulted nearest-replica selection (mirrors
-    /// `Simulator::select_nr_faulted`; liveness from the lane's pure
-    /// per-window materialization, foreign staleness bounded by the
-    /// epoch).
-    #[allow(clippy::too_many_arguments)]
-    fn select_nr_faulted(
-        &mut self,
-        ctx: &Ctx,
-        leaf: NodeId,
-        object: u32,
-        origin_root: NodeId,
-        origin_cost: f64,
-        idx: u64,
-        penalty: &mut f64,
-    ) -> NrChoice {
-        let origin_reachable = self.path_live(ctx.net, leaf, origin_root);
-        let mut choice = None;
-        if ctx.reference {
-            let mut cands = std::mem::take(&mut self.cand_pairs);
-            cands.clear();
-            self.extend_pairs(ctx, object, leaf, &mut cands);
-            cands.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            for &(cost, node) in &cands {
-                if origin_reachable && cost >= origin_cost {
-                    break; // origin is at least as close; prefer it
-                }
-                if !self.node_up(node) || !self.path_live(ctx.net, leaf, node) {
-                    continue;
-                }
-                if self.try_capacity(node, idx) {
-                    let corrupted = self.replica_corrupted(node, object);
-                    if corrupted && ctx.spec.self_certifying {
-                        self.metrics.corrupt_detected += 1;
-                        self.evict_replica(ctx.costs, node, object);
-                        *penalty += cost + 1.0;
-                        continue; // scan on for a clean copy
-                    }
-                    choice = Some(NrChoice::Replica {
-                        cost,
-                        node,
-                        poisoned: corrupted,
-                    });
-                    break;
-                }
-            }
-            self.cand_pairs = cands;
-        } else {
-            let mut costs = std::mem::take(&mut self.cand_cost);
-            let mut nodes = std::mem::take(&mut self.cand_node);
-            costs.clear();
-            nodes.clear();
-            self.extend_cands(ctx, object, leaf, f64::INFINITY, &mut costs, &mut nodes);
-            while let Some(i) = min_candidate(&costs, &nodes) {
-                let (cost, node) = (costs[i], nodes[i]);
-                if origin_reachable && cost >= origin_cost {
-                    break; // origin is at least as close; prefer it
-                }
-                costs.swap_remove(i);
-                nodes.swap_remove(i);
-                if !self.node_up(node) || !self.path_live(ctx.net, leaf, node) {
-                    continue;
-                }
-                if self.try_capacity(node, idx) {
-                    let corrupted = self.replica_corrupted(node, object);
-                    if corrupted && ctx.spec.self_certifying {
-                        self.metrics.corrupt_detected += 1;
-                        self.evict_replica(ctx.costs, node, object);
-                        *penalty += cost + 1.0;
-                        continue; // scan on for a clean copy
-                    }
-                    choice = Some(NrChoice::Replica {
-                        cost,
-                        node,
-                        poisoned: corrupted,
-                    });
-                    break;
-                }
-            }
-            self.cand_cost = costs;
-            self.cand_node = nodes;
-        }
-        choice.unwrap_or(if origin_reachable {
-            NrChoice::Origin
-        } else {
-            NrChoice::Failed
-        })
+        self.bucket.clear();
     }
 
     /// Applies one foreign-sourced insert to this (owning) lane at
-    /// reconcile time. Emission already ran the origin/crash/equipment
-    /// gates; this is the storage half of `cache_insert`.
-    fn apply_foreign_insert(&mut self, costs: &CostTable, t: u32, object: u32, idx: u64) {
-        let node = self.node_base + t;
-        let c = &mut self.caches[t as usize];
-        let had = c.contains(object as u64);
-        let evicted = c.insert_at(object as u64, idx);
-        let stored = c.contains(object as u64);
-        if let Some(ttl) = self.ttl_len {
-            if stored {
+    /// reconcile time. Its lease joins the queue at `close_epoch`, not
+    /// now: its stamp may precede entries the lane queued this epoch.
+    fn apply_foreign_insert(&mut self, env: &Env, idx: u64, node: NodeId, object: u32) {
+        if self.kernel.world.store(env, idx, node, object) {
+            if let Some(ttl) = self.kernel.ttl_len {
                 self.ttl_pending.push((idx + ttl, node, object));
             }
-        }
-        if let Some(e) = evicted {
-            self.dir_note_remove(costs, t, e as u32);
-        }
-        if !had && stored {
-            self.dir_note_insert(costs, t, object);
         }
     }
 
@@ -1250,81 +471,38 @@ impl Lane {
     /// w.r.t. equal-stamp own entries), retire leases due by the
     /// boundary, and roll faults — crash flushes included — up to the
     /// first index of the next epoch.
-    fn close_epoch(&mut self, net: &Network, costs: &CostTable, epoch_end: u64) {
-        if self.ttl_len.is_some() {
+    fn close_epoch(&mut self, env: &Env, epoch_end: u64) {
+        let kernel = &mut self.kernel;
+        if kernel.ttl_len.is_some() {
             if !self.ttl_pending.is_empty() {
                 self.ttl_pending.sort_unstable();
-                self.ttl_queue.extend(self.ttl_pending.drain(..));
+                kernel.ttl_queue.extend(self.ttl_pending.drain(..));
                 // Stable by stamp: pre-existing (own) entries keep
                 // priority over equal-stamp foreign arrivals.
-                self.ttl_queue
+                kernel
+                    .ttl_queue
                     .make_contiguous()
                     .sort_by_key(|&(stamp, _, _)| stamp);
             }
-            self.expire_due(costs, epoch_end);
+            kernel.expire_due(env, epoch_end);
         }
-        if self.fault.is_some() {
-            self.advance_faults(net, costs, epoch_end);
-        }
-    }
-
-    /// Publishes this lane's dirty directory entries into the shared
-    /// snapshot. Dirty lists are sorted + deduped first, so the writes —
-    /// and therefore the snapshot — are independent of the (unordered)
-    /// discovery order within the epoch.
-    fn resync(&mut self, masks: Option<&mut ReplicaMasks>, roots: Option<&mut Vec<u128>>) {
-        if self.track_masks {
-            let Some(masks) = masks else {
-                return;
-            };
-            self.dirty.sort_unstable();
-            self.dirty.dedup();
-            for i in 0..self.dirty.len() {
-                let o = self.dirty[i];
-                let mask = self.dir.get(&o).copied().unwrap_or(0);
-                masks.set_group(o, self.pop, mask);
-            }
-            self.dirty.clear();
-        } else if self.track_roots {
-            let Some(roots) = roots else {
-                return;
-            };
-            let bit = 1u128 << self.pop;
-            if self.root_flush {
-                self.root_flush = false;
-                for (o, m) in roots.iter_mut().enumerate() {
-                    if *m & bit != 0 && !self.caches[0].contains(o as u64) {
-                        *m &= !bit;
-                    }
-                }
-            }
-            self.dirty.sort_unstable();
-            self.dirty.dedup();
-            for i in 0..self.dirty.len() {
-                let o = self.dirty[i] as usize;
-                if self.caches[0].contains(self.dirty[i] as u64) {
-                    roots[o] |= bit;
-                } else {
-                    roots[o] &= !bit;
-                }
-            }
-            self.dirty.clear();
-        }
+        kernel.advance_faults(env, epoch_end);
     }
 }
 
 /// Simulates one epoch: lanes are packed onto at most `workers` threads
 /// in contiguous chunks balanced by bucket size. Lanes are mutually
-/// independent within an epoch (own state + frozen [`Ctx`] only), so the
-/// packing — and the worker count — cannot affect any output byte.
-fn run_epoch(lanes: &mut [Lane], ctx: &Ctx, workers: usize) {
+/// independent within an epoch (own state + the shared read-only [`Env`]
+/// only), so the packing — and the worker count — cannot affect any
+/// output byte.
+fn run_epoch(lanes: &mut [Lane], env: &Env, workers: usize) {
     let total: usize = lanes.iter().map(|l| l.bucket.len()).sum();
     if total == 0 {
         return;
     }
     if workers <= 1 || lanes.len() <= 1 {
         for lane in lanes.iter_mut() {
-            lane.run_bucket(ctx);
+            lane.run_bucket(env);
         }
         return;
     }
@@ -1346,7 +524,7 @@ fn run_epoch(lanes: &mut [Lane], ctx: &Ctx, workers: usize) {
             rest = tail;
             s.spawn(move || {
                 for lane in chunk {
-                    lane.run_bucket(ctx);
+                    lane.run_bucket(env);
                 }
             });
         }
@@ -1354,51 +532,41 @@ fn run_epoch(lanes: &mut [Lane], ctx: &Ctx, workers: usize) {
 }
 
 /// The sequential epoch-boundary merge. Phase A applies cross-PoP deltas
-/// in canonical `(source pop, emission seq)` order; phase B runs each
-/// lane's boundary catch-up (TTL merge/expiry, crash flushes) and
-/// publishes dirty directory entries into the shared snapshot, in PoP
-/// order. Both phases are single-threaded and order-fixed — this is the
-/// determinism anchor of the whole engine.
-fn reconcile(
-    lanes: &mut [Lane],
-    net: &Network,
-    costs: &CostTable,
-    masks: &mut Option<ReplicaMasks>,
-    roots: &mut Option<Vec<u128>>,
-    epoch_end: u64,
-    delta_buf: &mut Vec<Delta>,
-) {
-    let tn = net.tree.nodes();
+/// in canonical `(source pop, emission seq)` order, each through the
+/// owning lane's world (where the router is own, so the effect lands in
+/// place); phase B runs each lane's boundary catch-up (TTL merge/expiry,
+/// crash flushes) and publishes dirty directory entries into the shared
+/// snapshot, in PoP order. Both phases are single-threaded and
+/// order-fixed — this is the determinism anchor of the whole engine.
+fn reconcile(lanes: &mut [Lane], env: &mut Env, epoch_end: u64, delta_buf: &mut Vec<Delta>) {
+    let tn = env.net.tree.nodes();
     for p in 0..lanes.len() {
         // Swap the lane's delta log into the shared scratch (and back)
         // so owner lanes can be borrowed mutably while we iterate, and
         // no epoch re-allocates the log.
-        std::mem::swap(&mut lanes[p].deltas, delta_buf);
+        std::mem::swap(&mut lanes[p].kernel.world.deltas, delta_buf);
         for &delta in delta_buf.iter() {
             match delta {
                 Delta::Touch { node, object } => {
-                    let q = (node / tn) as usize;
-                    lanes[q].caches[(node % tn) as usize].touch(object as u64);
+                    lanes[(node / tn) as usize].kernel.world.touch(node, object);
                 }
                 Delta::Evict { node, object } => {
-                    let q = (node / tn) as usize;
-                    let t = node % tn;
-                    if lanes[q].caches[t as usize].remove(object as u64) {
-                        lanes[q].dir_note_remove(costs, t, object);
-                    }
+                    lanes[(node / tn) as usize]
+                        .kernel
+                        .world
+                        .remove(env, node, object);
                 }
                 Delta::Insert { idx, node, object } => {
-                    let q = (node / tn) as usize;
-                    lanes[q].apply_foreign_insert(costs, node % tn, object, idx);
+                    lanes[(node / tn) as usize].apply_foreign_insert(env, idx, node, object);
                 }
             }
         }
         delta_buf.clear();
-        std::mem::swap(&mut lanes[p].deltas, delta_buf);
+        std::mem::swap(&mut lanes[p].kernel.world.deltas, delta_buf);
     }
     for lane in lanes.iter_mut() {
-        lane.close_epoch(net, costs, epoch_end);
-        lane.resync(masks.as_mut(), roots.as_mut());
+        lane.close_epoch(env, epoch_end);
+        lane.kernel.world.resync(&mut env.frozen);
     }
 }
 
@@ -1419,45 +587,47 @@ pub fn run_sharded<I>(
 where
     I: IntoIterator<Item = Request>,
 {
-    assert_eq!(origins.len(), object_sizes.len(), "origins/sizes mismatch");
+    run_lanes(net, cfg, origins, object_sizes, requests, opts).0
+}
+
+/// [`run_sharded`], also handing back the final lane states and snapshot
+/// (the directory-invariant tests inspect them).
+fn run_lanes<'a, I>(
+    net: &'a Network,
+    cfg: &ExperimentConfig,
+    origins: &'a [u16],
+    object_sizes: &'a [u32],
+    requests: I,
+    opts: &ShardOpts,
+) -> (ShardRun, Env<'a>, Vec<Lane>)
+where
+    I: IntoIterator<Item = Request>,
+{
     assert!(
         supported(net, cfg),
         "epoch-sharded engine does not support this network/design; gate on shard::supported"
     );
-    let spec = cfg.design.spec(net);
-    let costs = CostTable::new(net, cfg.latency);
-    let objects = origins.len() as u64;
+    let mut env = Env::new(net, cfg.clone(), origins, object_sizes, opts.reference);
+    let track_roots = env.spec.routing == Routing::ShortestPathToOrigin
+        && (0..net.pops()).any(|p| env.equipped[net.pop_root(p) as usize]);
+    env.frozen = Frozen {
+        masks: env
+            .tracks_replicas()
+            .then(|| ReplicaMasks::new(origins.len())),
+        roots: track_roots.then(|| vec![0u128; origins.len()]),
+    };
     let budgets = per_node_budgets(
         cfg.budget_policy,
         cfg.f_fraction,
-        objects,
+        origins.len() as u64,
         &net.core.populations,
         net.nodes_per_pop(),
     );
-    let equipped: Vec<bool> = (0..net.node_count())
-        .map(|n| spec.cache_set.has_cache(net, n))
-        .collect();
-    let pops = net.pops() as usize;
-    let track_masks = spec.routing == Routing::NearestReplica;
-    let track_roots = spec.routing == Routing::ShortestPathToOrigin
-        && (0..net.pops()).any(|p| equipped[net.pop_root(p) as usize]);
-    let mut masks = track_masks.then(|| ReplicaMasks::new(origins.len()));
-    let mut roots = track_roots.then(|| vec![0u128; origins.len()]);
     let mut lanes: Vec<Lane> = (0..net.pops())
-        .map(|p| {
-            Lane::new(
-                p,
-                net,
-                cfg,
-                &spec,
-                &budgets,
-                origins.len(),
-                track_masks,
-                track_roots,
-            )
-        })
+        .map(|p| Lane::new(&env, &budgets, p))
         .collect();
 
+    let pops = net.pops() as usize;
     let workers = opts.shards.max(1).min(pops);
     let epoch_len = opts.epoch_len.max(1);
     let mut it = requests.into_iter();
@@ -1479,31 +649,9 @@ where
             break;
         }
         epochs += 1;
-        {
-            let ctx = Ctx {
-                net,
-                spec: &spec,
-                cfg,
-                costs: &costs,
-                origins,
-                sizes: object_sizes,
-                equipped: &equipped,
-                masks: masks.as_ref(),
-                roots: roots.as_deref(),
-                reference: opts.reference,
-            };
-            run_epoch(&mut lanes, &ctx, workers);
-        }
+        run_epoch(&mut lanes, &env, workers);
         let clock = CellClock::start();
-        reconcile(
-            &mut lanes,
-            net,
-            &costs,
-            &mut masks,
-            &mut roots,
-            next_idx,
-            &mut delta_buf,
-        );
+        reconcile(&mut lanes, &mut env, next_idx, &mut delta_buf);
         reconcile_ns += clock.elapsed_ns();
         if pulled < epoch_len {
             break;
@@ -1512,12 +660,69 @@ where
 
     let mut metrics = RunMetrics::new(net.link_count() as usize, pops, net.tree.depth);
     for lane in &lanes {
-        metrics.merge(&lane.metrics);
+        metrics.merge(&lane.kernel.metrics);
     }
-    ShardRun {
+    let run = ShardRun {
         metrics,
         epochs,
         reconcile_ns,
         workers,
+    };
+    (run, env, lanes)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::design::DesignKind;
+    use crate::kernel::invariant;
+
+    #[test]
+    fn lane_directories_match_caches_and_the_published_snapshot() {
+        // After the final reconcile every lane's live directory must
+        // mirror its caches (nearest-replica routing), and the shared
+        // snapshot must be exactly the union of what the lanes hold:
+        // per-PoP mask groups under nearest-replica routing, root
+        // residency bits under shortest-path routing.
+        let (net, trace, origins) = invariant::fixture();
+        let objects = origins.len() as u32;
+        let opts = ShardOpts {
+            shards: 2,
+            epoch_len: 512,
+            reference: false,
+        };
+        for design in [DesignKind::IcnNr, DesignKind::IcnSp] {
+            for (label, cfg) in invariant::stress_configs(design) {
+                let requests = trace.requests.iter().copied();
+                let (run, env, lanes) =
+                    run_lanes(&net, &cfg, &origins, &trace.object_sizes, requests, &opts);
+                assert!(run.metrics.cache_hits > 0, "{design:?}/{label}: no hits");
+                assert!(env.frozen.masks.is_some() != env.frozen.roots.is_some());
+                for lane in &lanes {
+                    let world = &lane.kernel.world;
+                    if env.tracks_replicas() {
+                        invariant::assert_directory_matches_caches(&env, world, objects);
+                    }
+                    for o in 0..objects {
+                        if let Some(masks) = &env.frozen.masks {
+                            assert_eq!(
+                                masks.group(o, world.pop),
+                                world.own_mask(o),
+                                "{label}: object {o}, PoP {} group",
+                                world.pop
+                            );
+                        }
+                        if let Some(roots) = &env.frozen.roots {
+                            assert_eq!(
+                                roots[o as usize] >> world.pop & 1 == 1,
+                                world.caches[0].contains(o as u64),
+                                "{label}: object {o}, PoP {} root residency",
+                                world.pop
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -1,298 +1,213 @@
-//! The request-level simulation loop (§4.1).
-//!
-//! For every request the simulator:
-//!
-//! 1. routes it per the design — along the shortest path toward the origin
-//!    (any on-path cache may answer, with an optional scoped sibling lookup
-//!    at cache-equipped tree routers), or directly to the nearest replica
-//!    (zero lookup cost, the ICN ideal);
-//! 2. serves it at the first eligible cache, or at the origin;
-//! 3. transfers the object back along the response path, counting one
-//!    transfer (or the object's bytes) on every traversed link, and
-//!    **stores the object in every cache-equipped router on that path**;
-//! 4. accounts latency = sum of traversed link costs + 1 (the serving hop,
-//!    so a hit in the requesting leaf's own cache costs 1).
-//!
-//! The simulator is request-granular by design: no packets, TCP, or queueing
-//! ("we use a request-level simulator and thus we do not model packet-level,
-//! TCP, or router queueing effects", §4.1).
+//! The sequential simulator: the request kernel ([`crate::kernel`]) over
+//! a world where every router's cache and the whole replica directory are
+//! live, so request `i + 1` observes everything request `i` wrote.
 
-use crate::capacity::CapacityTracker;
-use crate::config::{ExperimentConfig, InsertionPolicy};
-use crate::costs::CostTable;
-use crate::design::{DesignSpec, Routing};
-use crate::dir::{ReplicaMasks, MAX_MASK_TREE};
-use crate::fault::{FaultGroups, FaultSchedule, NO_GROUP};
+use crate::config::ExperimentConfig;
+use crate::costs::fold_min;
+use crate::design::DesignSpec;
+use crate::dir::{ranks, ReplicaMasks, MAX_MASK_TREE};
 use crate::instrument::SimObs;
-use crate::metrics::{RunMetrics, LATENCY_HIST_SCALE};
+use crate::kernel::{Env, Kernel, World, RNG_SEED};
+use crate::metrics::RunMetrics;
 use icn_cache::budget::per_node_budgets;
 use icn_cache::CacheSlot;
-// lint:allow(feature-gate-obs): TraceRecord is a plain data type built in every configuration; the `obs` feature gates instrumentation, not types
-use icn_obs::TraceRecord;
 use icn_topology::{Network, NodeId};
 use icn_workload::trace::Request;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::collections::VecDeque;
+use std::ops::Range;
 
-/// Where a request was ultimately served.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Server {
-    /// A cache at this router, reached at this index on the request path.
-    Cache { node: NodeId, path_idx: usize },
-    /// A sibling cache reached by a scoped cooperative lookup from the
-    /// router at this path index.
-    Sibling { sibling: NodeId, via_idx: usize },
-    /// The origin PoP root.
-    Origin(NodeId),
+/// The nearest-replica directory of the live world: which cache-equipped
+/// routers currently hold each object.
+enum Directory {
+    /// Shortest-path routing never consults a directory.
+    Off,
+    /// Bit-packed (see [`crate::dir`]): selection reads one per-PoP
+    /// representative via `trailing_zeros` instead of scanning every
+    /// replica, and insert/evict/flush are branch-free bit updates.
+    Masks(ReplicaMasks),
+    /// `lists[object]` = holders in *arbitrary* order (selection breaks
+    /// cost ties by `NodeId`, so insertion order never matters). Used in
+    /// reference mode, which deliberately exercises the legacy structure,
+    /// and for trees too large for a `u128` presence mask.
+    Lists(Vec<Vec<NodeId>>),
 }
 
-/// Where a nearest-replica request is served once faults are considered.
-enum NrChoice {
-    /// A live replica at this cost.
-    Replica {
-        /// Path cost from the requesting leaf to the replica.
-        cost: f64,
-        /// The serving router.
-        node: NodeId,
-        /// The replica is corrupted and the design cannot detect it: the
-        /// poisoned bytes are delivered and counted as an integrity
-        /// failure (`corrupt_served`).
-        poisoned: bool,
-    },
-    /// No eligible replica; the (reachable) origin serves.
-    Origin,
-    /// Origin unreachable and no live replica: the request fails.
-    Failed,
-}
-
-/// Materialized fault state for the current request window.
-///
-/// The [`FaultSchedule`] itself is stateless; this caches its answers for
-/// one window as flat `Vec<bool>`s so the per-request cost under faults is
-/// an index, not a hash. Rebuilt at every window transition by
-/// [`Simulator::advance_faults`] — the run loop visits request indices in
-/// order, so windows advance gap-free and crash events (which flush cache
-/// contents) are never skipped.
-///
-/// `pub(crate)` because the epoch-sharded engine (`crate::shard`) keeps
-/// one per lane: the schedule is a pure function of `(seed, entity,
-/// window)`, so every lane materializes the same per-window answers
-/// independently.
-pub(crate) struct FaultState {
-    pub(crate) schedule: FaultSchedule,
-    /// Window the vectors below describe; `u64::MAX` forces the first
-    /// rebuild at request 0.
-    pub(crate) window: u64,
-    pub(crate) node_down: Vec<bool>,
-    pub(crate) link_down: Vec<bool>,
-    pub(crate) origin_degraded: Vec<bool>,
-    /// Fast skip for path-liveness checks when no link is down.
-    pub(crate) any_link_down: bool,
-    /// True when any fault (node, link, or origin) is active this window;
-    /// drives the latency-under-failure histogram.
-    pub(crate) fault_active: bool,
-    /// Serving-capacity gate applied to *degraded* origin PoPs, reusing
-    /// the §5.1 capacity model (indexed by PoP, not router).
-    pub(crate) origin_capacity: CapacityTracker,
-    /// Topology-derived shared-risk groups (§ DESIGN.md "Correlated fault
-    /// model"); `None` unless the config carries a disaster layer with a
-    /// positive group rate, so independent-fault runs pay nothing.
-    pub(crate) groups: Option<FaultGroups>,
-    /// Per-group down state for the current window (scratch, parallel to
-    /// `groups`).
-    pub(crate) group_down: Vec<bool>,
-    /// PoPs degraded this window by cascading overload (scratch).
-    pub(crate) cascade: Vec<bool>,
-}
-
-impl FaultState {
-    pub(crate) fn new(schedule: FaultSchedule, net: &Network) -> Self {
-        let origin_capacity =
-            CapacityTracker::new(schedule.config().degraded_origin, net.pops() as usize);
-        let groups = schedule
-            .config()
-            .disaster
-            .filter(|d| d.group_rate > 0.0)
-            .map(|_| FaultGroups::derive(net));
-        let group_count = groups.as_ref().map_or(0, |g| g.count() as usize);
-        Self {
-            schedule,
-            window: u64::MAX,
-            node_down: vec![false; net.node_count() as usize],
-            link_down: vec![false; net.link_count() as usize],
-            origin_degraded: vec![false; net.pops() as usize],
-            any_link_down: false,
-            fault_active: false,
-            origin_capacity,
-            groups,
-            group_down: vec![false; group_count],
-            cascade: vec![false; net.pops() as usize],
+impl Directory {
+    /// An empty directory in the representation `env` calls for.
+    fn new(env: &Env) -> Self {
+        let objects = env.origins.len();
+        if !env.tracks_replicas() {
+            Directory::Off
+        } else if !env.reference && env.net.tree.nodes() <= MAX_MASK_TREE {
+            Directory::Masks(ReplicaMasks::new(objects))
+        } else {
+            Directory::Lists(vec![Vec::new(); objects])
         }
     }
 
-    /// Re-evaluates every entity's fault state for window `w`.
-    pub(crate) fn rebuild(&mut self, w: u64, net: &Network) {
-        // Cascading overload seeds are read off the *outgoing* window's
-        // state before it is overwritten: a degraded origin that actually
-        // saturated its capacity sheds load onto its core neighbors next
-        // window. Consecutive windows only — a cascade dies across a gap
-        // in the request stream, and a zero-rate schedule (never degraded,
-        // never saturated) can never seed one. The seed vector includes
-        // any prior cascade, so sustained overload compounds outward.
-        let cascading = self
-            .schedule
-            .config()
-            .disaster
-            .is_some_and(|d| d.cascade_overload);
-        if cascading {
-            let consecutive = self.window != u64::MAX && w == self.window + 1;
-            for q in 0..self.cascade.len() {
-                self.cascade[q] = consecutive
-                    && net.core.neighbors(q as u32).iter().any(|&p| {
-                        self.origin_degraded[p as usize] && self.origin_capacity.is_saturated(p)
-                    });
+    fn insert(&mut self, env: &Env, node: NodeId, object: u32) {
+        match self {
+            Directory::Off => {}
+            Directory::Masks(masks) => {
+                let (p, r) = env.pop_rank(node);
+                masks.insert(object, p, r);
+            }
+            Directory::Lists(lists) => lists[object as usize].push(node),
+        }
+    }
+
+    fn remove(&mut self, env: &Env, node: NodeId, object: u32) {
+        match self {
+            Directory::Off => {}
+            Directory::Masks(masks) => {
+                let (p, r) = env.pop_rank(node);
+                masks.remove(object, p, r);
+            }
+            Directory::Lists(lists) => {
+                let list = &mut lists[object as usize];
+                if let Some(pos) = list.iter().position(|&n| n == node) {
+                    list.swap_remove(pos);
+                }
             }
         }
-        self.window = w;
-        let mut any_node = false;
-        for (n, down) in self.node_down.iter_mut().enumerate() {
-            *down = self.schedule.node_down(n as u32, w);
-            any_node |= *down;
-        }
-        let mut any_link = false;
-        for (l, down) in self.link_down.iter_mut().enumerate() {
-            *down = self.schedule.link_down(l as u32, w);
-            any_link |= *down;
-        }
-        let mut any_origin = false;
-        for (p, deg) in self.origin_degraded.iter_mut().enumerate() {
-            *deg = self.schedule.origin_degraded(p as u16, w);
-            any_origin |= *deg;
-        }
-        // Shared-risk overlay: every member of a down group is down,
-        // OR-ed over the independent per-entity state.
-        if let Some(groups) = &self.groups {
-            let mut any_group = false;
-            for g in 0..groups.count() {
-                let down = self.schedule.group_down(g, w);
-                self.group_down[g as usize] = down;
-                any_group |= down;
+    }
+
+    fn for_each(&self, env: &Env, object: u32, mut f: impl FnMut(NodeId)) {
+        match self {
+            Directory::Off => {}
+            Directory::Masks(masks) => {
+                for &(p, mask) in masks.entries(object) {
+                    ranks(mask).for_each(|r| f(env.node_at(p, r)));
+                }
             }
-            if any_group {
-                for (n, down) in self.node_down.iter_mut().enumerate() {
-                    let g = groups.node_group(n as u32);
-                    if g != NO_GROUP && self.group_down[g as usize] {
-                        *down = true;
-                        any_node = true;
+            Directory::Lists(lists) => lists[object as usize].iter().copied().for_each(f),
+        }
+    }
+}
+
+/// The sequential engine's [`World`]: it owns every router, indexes
+/// caches by global `NodeId`, and applies every effect in place.
+pub(crate) struct LiveWorld {
+    caches: Vec<CacheSlot>,
+    dir: Directory,
+}
+
+impl World for LiveWorld {
+    #[inline]
+    fn owned(&self, env: &Env) -> Range<NodeId> {
+        0..env.net.node_count()
+    }
+
+    #[inline]
+    fn contains(&self, _env: &Env, node: NodeId, object: u32) -> bool {
+        self.caches[node as usize].contains(object as u64)
+    }
+
+    #[inline]
+    fn touch(&mut self, node: NodeId, object: u32) {
+        self.caches[node as usize].touch(object as u64);
+    }
+
+    #[inline]
+    fn remove(&mut self, env: &Env, node: NodeId, object: u32) {
+        if self.caches[node as usize].remove(object as u64) {
+            self.dir.remove(env, node, object);
+        }
+    }
+
+    #[inline]
+    fn store(&mut self, env: &Env, idx: u64, node: NodeId, object: u32) -> bool {
+        let c = &mut self.caches[node as usize];
+        let had = c.contains(object as u64);
+        let evicted = c.insert_at(object as u64, idx);
+        let stored = c.contains(object as u64);
+        if let Some(e) = evicted {
+            self.dir.remove(env, node, e as u32);
+        }
+        if !had && stored {
+            self.dir.insert(env, node, object);
+        }
+        stored
+    }
+
+    #[inline]
+    fn expire(&mut self, env: &Env, node: NodeId, object: u32, stamp: u64) {
+        if self.caches[node as usize].expire(object as u64, stamp) {
+            self.dir.remove(env, node, object);
+        }
+    }
+
+    fn flush(&mut self, env: &Env, node: NodeId) {
+        if env.tracks_replicas() && !self.caches[node as usize].is_empty() {
+            for o in 0..env.origins.len() as u32 {
+                self.dir.remove(env, node, o);
+            }
+        }
+        self.caches[node as usize].clear();
+    }
+
+    #[inline]
+    fn nearest(&self, env: &Env, leaf: NodeId, object: u32) -> Option<(f64, NodeId)> {
+        let from = env.costs.from(leaf);
+        let mut best = None;
+        match &self.dir {
+            Directory::Off => {}
+            // Rank-ordered masks: one candidate per foreign PoP; only the
+            // leaf's own PoP needs per-candidate LCA costs.
+            Directory::Masks(masks) => {
+                for &(p, mask) in masks.entries(object) {
+                    from.min_in_group(p, mask, &mut best);
+                }
+            }
+            Directory::Lists(lists) => {
+                // The leaf was already probed (its capacity may have failed).
+                for &n in lists[object as usize].iter().filter(|&&n| n != leaf) {
+                    fold_min(&mut best, from.to(n), n);
+                }
+            }
+        }
+        best
+    }
+
+    fn extend_cands(
+        &self,
+        env: &Env,
+        object: u32,
+        leaf: NodeId,
+        max_cost: f64,
+        costs_out: &mut Vec<f64>,
+        nodes_out: &mut Vec<NodeId>,
+    ) {
+        let from = env.costs.from(leaf);
+        match &self.dir {
+            Directory::Off => {}
+            Directory::Masks(masks) => {
+                for &(p, mask) in masks.entries(object) {
+                    from.extend_from_group(p, mask, max_cost, costs_out, nodes_out);
+                }
+            }
+            Directory::Lists(lists) => {
+                for &n in lists[object as usize].iter().filter(|&&n| n != leaf) {
+                    let c = from.to(n);
+                    if c < max_cost {
+                        costs_out.push(c);
+                        nodes_out.push(n);
                     }
                 }
-                for (l, down) in self.link_down.iter_mut().enumerate() {
-                    for g in groups.link_groups_of(l as u32) {
-                        if g != NO_GROUP && self.group_down[g as usize] {
-                            *down = true;
-                            any_link = true;
-                        }
-                    }
-                }
             }
         }
-        if cascading {
-            for (q, deg) in self.origin_degraded.iter_mut().enumerate() {
-                if self.cascade[q] {
-                    *deg = true;
-                    any_origin = true;
-                }
-            }
-        }
-        self.any_link_down = any_link;
-        self.fault_active = any_node || any_link || any_origin;
+    }
+
+    #[inline]
+    fn for_each_replica(&self, env: &Env, object: u32, f: impl FnMut(NodeId)) {
+        self.dir.for_each(env, object, f);
     }
 }
 
 /// A configured simulator bound to a network, an origin map, and object
 /// sizes. Feed it a request stream with [`Simulator::run`].
 pub struct Simulator<'a> {
-    net: &'a Network,
-    spec: DesignSpec,
-    cfg: ExperimentConfig,
-    /// Path costs precomputed over `net` × `cfg.latency`; every hot-path
-    /// cost query is a table load instead of an `O(depth)` climb.
-    costs: CostTable,
-    /// One enum-dispatched slot per router: cache probes inline instead of
-    /// chasing a `Box<dyn CachePolicy>` vtable per hop.
-    caches: Vec<CacheSlot>,
-    /// `equipped[n]` = the router carries a cache — a struct-of-arrays
-    /// mirror of `CacheSlot::is_equipped`. The hot gates (sibling coop,
-    /// response-path insertion, crash flushing) test equipment far more
-    /// often than they touch cache contents; a flat `bool` load keeps
-    /// those passes on one contiguous array instead of striding through
-    /// the enum slots.
-    equipped: Vec<bool>,
-    /// `replica_dir[object]` = cache-equipped routers currently holding the
-    /// object, in *arbitrary* order (selection breaks cost ties by
-    /// `NodeId`, so insertion order never matters). Maintained under
-    /// nearest-replica routing when `masks` is inactive — reference mode,
-    /// or trees too large for a `u128` presence mask.
-    replica_dir: Vec<Vec<NodeId>>,
-    /// Bit-packed replica directory (see [`crate::dir`]): the flat-mode
-    /// replacement for `replica_dir`. Selection reads one per-PoP
-    /// representative via `trailing_zeros` instead of scanning every
-    /// replica, and insert/evict/flush are branch-free bit updates.
-    /// Exactly one of `masks` / `replica_dir` is live at a time.
-    masks: Option<ReplicaMasks>,
-    origins: &'a [u16],
-    object_sizes: &'a [u32],
-    capacity: Option<CapacityTracker>,
-    /// Deterministic fault injection; `None` (the default) keeps the
-    /// fault-free hot path — every fault check starts with one
-    /// `Option::is_none` branch.
-    fault: Option<FaultState>,
-    /// Pending lease expiries under a TTL policy: `(lease end, node,
-    /// object)` in insertion order. Stamps are `insert time + ttl` with a
-    /// monotone insert clock, so the front is always the next lease due —
-    /// a plain queue, no heap needed. Entries for renewed or flushed
-    /// leases go stale; [`CacheSlot::expire`] rejects them by stamp.
-    ttl_queue: VecDeque<(u64, NodeId, u32)>,
-    /// Lease length when the configured policy is TTL (all equipped slots
-    /// share one policy); `None` keeps the expiry drain off the hot path.
-    ttl_len: Option<u64>,
-    /// Drives probabilistic insertion decisions; fixed seed keeps runs
-    /// reproducible.
-    rng: StdRng,
-    metrics: RunMetrics,
-    /// Optional instrumentation (timers, trace records, progress); a no-op
-    /// shell when the `obs` feature is disabled.
-    obs: Option<SimObs>,
-    path_buf: Vec<NodeId>,
-    nodes_buf: Vec<NodeId>,
-    links_buf: Vec<u32>,
-    /// Scratch for sibling tree indices in the cooperative lookup — the
-    /// lookup runs on every cache-equipped router a miss climbs past, so
-    /// allocating a fresh `Vec` per probe would be a per-miss heap hit.
-    siblings_buf: Vec<u32>,
-    /// Scratch for nearest-replica candidate lists (capacity-limited and
-    /// faulted selection) — same rationale as `siblings_buf`. Split into
-    /// parallel cost/node arrays so the select-min scan is two contiguous
-    /// slice walks (struct-of-arrays: no `(f64, u32)` padding, and the
-    /// cost lane vectorizes) instead of striding through 16-byte tuples.
-    cand_cost: Vec<f64>,
-    /// Candidate node ids, parallel to `cand_cost`.
-    cand_node: Vec<NodeId>,
-    /// Tuple-shaped candidate scratch for the reference mode's legacy
-    /// allocate-and-stable-sort selection (kept deliberately in the old
-    /// array-of-structs shape — reference mode exercises the legacy
-    /// implementation).
-    cand_pairs: Vec<(f64, NodeId)>,
-    /// Validation mode (`ICN_SIM_REFERENCE=1`): route every path-cost
-    /// query through [`LatencyModel::path_cost`] and every candidate scan
-    /// through the legacy allocate-and-stable-sort implementation, under
-    /// the *same* `(cost, NodeId)` ordering contract. `scripts/check.sh`
-    /// byte-compares fig6 output with and without the flag, proving the
-    /// flat structures change nothing.
-    ///
-    /// [`LatencyModel::path_cost`]: crate::latency::LatencyModel::path_cost
-    reference: bool,
+    env: Env<'a>,
+    kernel: Kernel<LiveWorld>,
 }
 
 impl<'a> Simulator<'a> {
@@ -304,153 +219,58 @@ impl<'a> Simulator<'a> {
         origins: &'a [u16],
         object_sizes: &'a [u32],
     ) -> Self {
-        assert_eq!(origins.len(), object_sizes.len(), "origins/sizes mismatch");
-        let objects = origins.len() as u64;
-        let spec = cfg.design.spec(net);
-        let budgets = per_node_budgets(
-            cfg.budget_policy,
-            cfg.f_fraction,
-            objects,
-            &net.core.populations,
-            net.nodes_per_pop(),
-        );
-        let mut caches: Vec<CacheSlot> = Vec::with_capacity(net.node_count() as usize);
-        for n in 0..net.node_count() {
-            if spec.cache_set.has_cache(net, n) {
-                let cap = if spec.infinite_budget {
-                    objects as usize
-                } else {
-                    (budgets[n as usize] as f64 * spec.budget_multiplier).round() as usize
-                };
-                caches.push(CacheSlot::build(cfg.policy, cap));
-            } else {
-                caches.push(CacheSlot::None);
-            }
-        }
         // Build-mode switch: selects the slow reference implementation that check.sh
         // byte-compares against the flat path; within either mode runs are bit-reproducible.
         // lint:allow(deterministic-core-reach): build-mode switch, not a per-run input
         let reference = std::env::var_os("ICN_SIM_REFERENCE").is_some_and(|v| v != "0");
-        let track = spec.routing == Routing::NearestReplica;
-        let use_masks = track && !reference && net.tree.nodes() <= MAX_MASK_TREE;
-        let replica_dir = if track && !use_masks {
-            vec![Vec::new(); origins.len()]
-        } else {
-            Vec::new()
-        };
-        let masks = use_masks.then(|| ReplicaMasks::new(origins.len()));
-        let capacity = cfg
-            .capacity
-            .map(|c| CapacityTracker::new(c, net.node_count() as usize));
-        let fault = cfg
-            .fault
-            .map(|fc| FaultState::new(FaultSchedule::new(fc), net));
-        let metrics = RunMetrics::new(
-            net.link_count() as usize,
-            net.pops() as usize,
-            net.tree.depth,
+        let env = Env::new(net, cfg, origins, object_sizes, reference);
+        let budgets = per_node_budgets(
+            env.cfg.budget_policy,
+            env.cfg.f_fraction,
+            origins.len() as u64,
+            &net.core.populations,
+            net.nodes_per_pop(),
         );
-        let costs = CostTable::new(net, cfg.latency);
+        let caches = env.build_slots(&budgets, 0..net.node_count());
         let ttl_len = caches.iter().find_map(CacheSlot::ttl);
-        let equipped = caches.iter().map(CacheSlot::is_equipped).collect();
-        Self {
-            net,
-            spec,
-            cfg,
-            costs,
+        let world = LiveWorld {
             caches,
-            equipped,
-            replica_dir,
-            masks,
-            origins,
-            object_sizes,
-            capacity,
-            fault,
-            ttl_queue: VecDeque::new(),
-            ttl_len,
-            rng: StdRng::seed_from_u64(0xd1ce_cafe),
-            metrics,
-            obs: None,
-            path_buf: Vec::new(),
-            nodes_buf: Vec::new(),
-            links_buf: Vec::new(),
-            siblings_buf: Vec::new(),
-            cand_cost: Vec::new(),
-            cand_node: Vec::new(),
-            cand_pairs: Vec::new(),
-            reference,
+            dir: Directory::new(&env),
+        };
+        Self {
+            kernel: Kernel::new(&env, world, ttl_len, RNG_SEED),
+            env,
         }
     }
 
     /// Switches between the flat hot path (default) and the reference
-    /// implementation it must match bit-for-bit; see the `reference` field.
+    /// implementation it must match bit-for-bit; see [`Env::reference`].
     /// Exposed so determinism tests can flip modes without racing on the
-    /// process-wide `ICN_SIM_REFERENCE` environment variable. Converts the
-    /// replica directory between its bitmask and `Vec` representations so
-    /// the flip is valid even mid-run.
+    /// process-wide `ICN_SIM_REFERENCE` environment variable. Rebuilds the
+    /// replica directory in the representation the new mode uses, so the
+    /// flip is valid even mid-run.
     pub fn set_reference(&mut self, reference: bool) {
-        if reference == self.reference {
+        if reference == self.env.reference {
             return;
         }
-        self.reference = reference;
-        if self.spec.routing != Routing::NearestReplica {
-            return;
+        self.env.reference = reference;
+        let mut dir = Directory::new(&self.env);
+        for o in 0..self.env.origins.len() as u32 {
+            self.kernel
+                .world
+                .for_each_replica(&self.env, o, |n| dir.insert(&self.env, n, o));
         }
-        let tn = self.net.tree.nodes();
-        if reference {
-            if let Some(masks) = self.masks.take() {
-                self.replica_dir = (0..masks.len() as u32)
-                    .map(|o| {
-                        let mut nodes = Vec::new();
-                        for &(p, mask) in masks.entries(o) {
-                            let mut bits = mask;
-                            while bits != 0 {
-                                let r = bits.trailing_zeros();
-                                bits &= bits - 1;
-                                nodes.push(p * tn + self.costs.t_of_rank(r));
-                            }
-                        }
-                        nodes
-                    })
-                    .collect();
-            }
-        } else if tn <= MAX_MASK_TREE {
-            let mut masks = ReplicaMasks::new(self.replica_dir.len());
-            for (o, nodes) in self.replica_dir.iter().enumerate() {
-                for &n in nodes {
-                    let (p, t) = (self.net.pop_of(n), self.net.tree_index(n));
-                    masks.insert(o as u32, p, self.costs.rank_of(t));
-                }
-            }
-            self.replica_dir = Vec::new();
-            self.masks = Some(masks);
-        }
+        self.kernel.world.dir = dir;
     }
 
     /// The routers currently holding `object` per the nearest-replica
     /// directory, ascending by `NodeId` — a diagnostics/test view that
     /// works over either directory representation.
     pub fn replicas_of(&self, object: u32) -> Vec<NodeId> {
-        let mut nodes: Vec<NodeId> = match &self.masks {
-            Some(masks) => {
-                let tn = self.net.tree.nodes();
-                let mut out = Vec::new();
-                for &(p, mask) in masks.entries(object) {
-                    let mut bits = mask;
-                    while bits != 0 {
-                        let r = bits.trailing_zeros();
-                        bits &= bits - 1;
-                        out.push(p * tn + self.costs.t_of_rank(r));
-                    }
-                }
-                out
-            }
-            None => self
-                .replica_dir
-                .get(object as usize)
-                .cloned()
-                .unwrap_or_default(),
-        };
+        let mut nodes = Vec::new();
+        self.kernel
+            .world
+            .for_each_replica(&self.env, object, |n| nodes.push(n));
         nodes.sort_unstable();
         nodes
     }
@@ -458,7 +278,7 @@ impl<'a> Simulator<'a> {
     /// Attaches instrumentation; subsequent [`Simulator::run`] calls report
     /// through it. See [`crate::instrument::SimObs`].
     pub fn attach_obs(&mut self, obs: SimObs) {
-        self.obs = Some(obs);
+        self.kernel.obs = Some(obs);
     }
 
     /// Processes a request stream and returns the accumulated metrics.
@@ -478,1128 +298,34 @@ impl<'a> Simulator<'a> {
     {
         let mut count = 0u64;
         for req in requests {
-            if let Some(o) = &self.obs {
+            if let Some(o) = &self.kernel.obs {
                 o.on_request(count);
             }
-            self.process(count, &req);
+            self.kernel.process(&self.env, count, &req);
             count += 1;
         }
-        if let Some(o) = &self.obs {
+        if let Some(o) = &self.kernel.obs {
             o.on_finish(count);
         }
-        &self.metrics
+        &self.kernel.metrics
     }
 
     /// Metrics accumulated so far.
     pub fn metrics(&self) -> &RunMetrics {
-        &self.metrics
+        &self.kernel.metrics
     }
 
     /// The resolved design knobs.
     pub fn spec(&self) -> &DesignSpec {
-        &self.spec
+        &self.env.spec
     }
-
-    fn process(&mut self, idx: u64, req: &Request) {
-        // Sampled profiler span covering the whole request — the parent of
-        // every other phase span. Pure measurement: no branch below
-        // depends on it, so figures are byte-identical with it on or off.
-        let _request_span = self.obs.as_ref().and_then(|o| o.request_span(idx));
-        let leaf = self.net.leaf(req.pop as u32, req.leaf as u32);
-        let origin_pop = self.origins[req.object as usize] as u32;
-        self.metrics.requests += 1;
-        if self.ttl_len.is_some() {
-            self.expire_due(idx);
-        }
-        if self.fault.is_some() {
-            let fault_span = self.obs.as_ref().and_then(|o| o.fault_span(idx));
-            self.advance_faults(idx);
-            drop(fault_span);
-        }
-        match self.spec.routing {
-            Routing::ShortestPathToOrigin => self.process_sp(idx, leaf, req.object, origin_pop),
-            Routing::NearestReplica => self.process_nr(idx, leaf, req.object, origin_pop),
-        }
-    }
-
-    /// Retires every lease due at or before `now`: an entry inserted at
-    /// `t` serves hits strictly before `t + ttl`, so a stamp of `now` is
-    /// already dead when request `now` is processed. Stale queue entries
-    /// — the lease was renewed (new stamp) or the cache flushed by a
-    /// crash — fail [`CacheSlot::expire`]'s stamp check and are dropped
-    /// without touching the directory.
-    fn expire_due(&mut self, now: u64) {
-        while let Some(&(stamp, node, object)) = self.ttl_queue.front() {
-            if stamp > now {
-                break;
-            }
-            self.ttl_queue.pop_front();
-            if self.caches[node as usize].expire(object as u64, stamp)
-                && self.spec.routing == Routing::NearestReplica
-            {
-                if let Some(masks) = &mut self.masks {
-                    let (p, t) = (self.net.pop_of(node), self.net.tree_index(node));
-                    masks.remove(object, p, self.costs.rank_of(t));
-                } else {
-                    let dir = &mut self.replica_dir[object as usize];
-                    if let Some(pos) = dir.iter().position(|&n| n == node) {
-                        dir.swap_remove(pos);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Rolls the fault state forward to the window containing `idx`,
-    /// flushing the contents of every cache whose crash event fires in a
-    /// newly entered window (a crash is a cold restart, not a pause).
-    fn advance_faults(&mut self, idx: u64) {
-        let Some(mut fault) = self.fault.take() else {
-            return;
-        };
-        let w = fault.schedule.window_of(idx);
-        if w != fault.window {
-            // The run loop processes indices in order, so at most one new
-            // window opens per call — but iterate defensively in case a
-            // caller feeds a sparse index sequence, so no crash (and its
-            // flush) is ever skipped.
-            let first = if fault.window == u64::MAX {
-                0
-            } else {
-                fault.window + 1
-            };
-            for step in first..=w {
-                for n in 0..self.net.node_count() {
-                    if !self.equipped[n as usize] {
-                        continue;
-                    }
-                    // A shared-risk group event is a power event for every
-                    // member: cold restart, same as an individual crash.
-                    let crashed = fault.schedule.node_crashes(n, step)
-                        || fault.groups.as_ref().is_some_and(|g| {
-                            let grp = g.node_group(n);
-                            grp != NO_GROUP && fault.schedule.group_event(grp, step)
-                        });
-                    if crashed {
-                        self.flush_cache(n);
-                    }
-                }
-            }
-            fault.rebuild(w, self.net);
-        }
-        self.fault = Some(fault);
-    }
-
-    /// True when the cached copy of `object` at `node` is corrupted in the
-    /// current fault window (always false without a fault schedule).
-    #[inline]
-    fn replica_corrupted(&self, node: NodeId, object: u32) -> bool {
-        self.fault
-            .as_ref()
-            .is_some_and(|f| f.schedule.replica_corrupted(node, object, f.window))
-    }
-
-    /// Drops a detected-poisoned replica of `object` at `node`: cache
-    /// removal plus nearest-replica directory sync (the same invariant
-    /// lease expiry maintains in [`Simulator::expire_due`]).
-    fn evict_replica(&mut self, node: NodeId, object: u32) {
-        if !self.caches[node as usize].remove(object as u64) {
-            return;
-        }
-        if self.spec.routing == Routing::NearestReplica {
-            if let Some(masks) = &mut self.masks {
-                let (p, t) = (self.net.pop_of(node), self.net.tree_index(node));
-                masks.remove(object, p, self.costs.rank_of(t));
-            } else {
-                let dir = &mut self.replica_dir[object as usize];
-                if let Some(pos) = dir.iter().position(|&n| n == node) {
-                    dir.swap_remove(pos);
-                }
-            }
-        }
-    }
-
-    /// Empties the cache at `node` (crash semantics), keeping the
-    /// nearest-replica directory consistent.
-    fn flush_cache(&mut self, node: NodeId) {
-        let track = self.spec.routing == Routing::NearestReplica;
-        let c = &mut self.caches[node as usize];
-        if c.is_equipped() {
-            if track && !c.is_empty() {
-                if let Some(masks) = &mut self.masks {
-                    let (p, t) = (self.net.pop_of(node), self.net.tree_index(node));
-                    let r = self.costs.rank_of(t);
-                    for o in 0..masks.len() as u32 {
-                        masks.remove(o, p, r);
-                    }
-                } else {
-                    for dir in &mut self.replica_dir {
-                        if let Some(pos) = dir.iter().position(|&n| n == node) {
-                            dir.swap_remove(pos);
-                        }
-                    }
-                }
-            }
-            c.clear();
-        }
-    }
-
-    /// True when the cache node is not crashed (vacuously true without a
-    /// fault schedule).
-    #[inline]
-    fn node_up(&self, node: NodeId) -> bool {
-        self.fault
-            .as_ref()
-            .is_none_or(|f| !f.node_down[node as usize])
-    }
-
-    /// True when every link on the unique path between `a` and `b` is up.
-    fn path_live(&mut self, a: NodeId, b: NodeId) -> bool {
-        match &self.fault {
-            None => return true,
-            Some(f) if !f.any_link_down => return true,
-            Some(_) => {}
-        }
-        let mut links = std::mem::take(&mut self.links_buf);
-        links.clear();
-        self.net.path_links_into(a, b, &mut links);
-        let live = match &self.fault {
-            Some(f) => links.iter().all(|&l| !f.link_down[l as usize]),
-            None => true,
-        };
-        self.links_buf = links;
-        live
-    }
-
-    /// The link id between two *adjacent* routers on a shortest path that
-    /// only climbs (`a` is the deeper endpoint, or both are PoP roots).
-    #[inline]
-    fn link_between(&self, a: NodeId, b: NodeId) -> u32 {
-        let (pa, pb) = (self.net.pop_of(a), self.net.pop_of(b));
-        if pa == pb {
-            self.net.tree_link(a)
-        } else {
-            self.net.core_link(pa, pb)
-        }
-    }
-
-    /// Index of the last node on `path` still reachable from `path[0]`
-    /// under the current link faults (the whole path when fault-free).
-    fn reachable_prefix(&self, path: &[NodeId]) -> usize {
-        let last = path.len() - 1;
-        let Some(f) = &self.fault else {
-            return last;
-        };
-        if !f.any_link_down {
-            return last;
-        }
-        for j in 1..path.len() {
-            if f.link_down[self.link_between(path[j - 1], path[j]) as usize] {
-                return j - 1;
-            }
-        }
-        last
-    }
-
-    /// Gate for an origin serve: a degraded origin PoP serves through the
-    /// reduced-capacity tracker; a saturated one fails the request.
-    /// Healthy origins (and fault-free runs) always serve.
-    #[inline]
-    fn try_origin(&mut self, origin_pop: u32, idx: u64) -> bool {
-        match &mut self.fault {
-            None => true,
-            Some(f) => {
-                !f.origin_degraded[origin_pop as usize]
-                    || f.origin_capacity.try_serve(origin_pop, idx)
-            }
-        }
-    }
-
-    /// Accounts one served request's latency (and, during fault-active
-    /// windows, the under-failure distribution).
-    #[inline]
-    fn record_served(&mut self, latency: f64) {
-        self.metrics.total_latency += latency;
-        self.metrics.record_latency(latency);
-        if self.fault.as_ref().is_some_and(|f| f.fault_active) {
-            self.metrics.record_fault_latency(latency);
-        }
-    }
-
-    /// Accounts one failed request: counted, but no latency and no
-    /// transfers (nothing was delivered).
-    fn record_failed(&mut self, idx: u64, object: u32) {
-        self.metrics.failed_requests += 1;
-        if let Some(o) = &self.obs {
-            o.on_failed();
-            o.trace_with(|design| TraceRecord {
-                seq: idx,
-                object: object as u64,
-                design,
-                level: 0,
-                hops: 0,
-                hit: false,
-                coop: false,
-                cost_milli: 0,
-            });
-        }
-    }
-
-    /// Shortest-path-to-origin routing: walk the unique path from the leaf
-    /// to the origin PoP root; the first cache containing the object
-    /// answers; cache-equipped tree routers optionally do a scoped sibling
-    /// lookup on miss.
-    fn process_sp(&mut self, idx: u64, leaf: NodeId, object: u32, origin_pop: u32) {
-        let route_span = self.obs.as_ref().and_then(|o| o.route_span(idx));
-        let mut path = std::mem::take(&mut self.path_buf);
-        self.net.sp_path_nodes_into(leaf, origin_pop, &mut path);
-        let last = path.len() - 1;
-
-        // Under link faults the walk stops at the last reachable node; the
-        // origin only serves when the whole path is live — EDGE designs
-        // "fall through to origin", so a severed origin path with no
-        // on-path copy is a failed request.
-        let reach = self.reachable_prefix(&path);
-
-        let mut server = if reach == last {
-            Some(Server::Origin(path[last]))
-        } else {
-            None
-        };
-        // Latency charged for detected-corrupt fetches discarded along the
-        // way (the wasted round trip to the poisoned copy and back).
-        let mut penalty = 0.0;
-        // The eventual serve delivers corrupted bytes the design cannot
-        // detect.
-        let mut poisoned = false;
-        let probe_span = self.obs.as_ref().and_then(|o| o.probe_span(idx));
-        'walk: for (i, &node) in path.iter().enumerate() {
-            if i == last || i > reach {
-                break; // the origin always serves what it owns
-            }
-            if self.cache_contains(node, object) && self.try_capacity(node, idx) {
-                if self.replica_corrupted(node, object) {
-                    if self.spec.self_certifying {
-                        // Self-certified names: the poisoned copy is caught
-                        // on receipt, discarded, and the walk continues —
-                        // at the cost of the wasted fetch.
-                        self.metrics.corrupt_detected += 1;
-                        self.evict_replica(node, object);
-                        penalty += self.path_cost(path[0], node) + 1.0;
-                    } else {
-                        poisoned = true;
-                        server = Some(Server::Cache { node, path_idx: i });
-                        break;
-                    }
-                } else {
-                    server = Some(Server::Cache { node, path_idx: i });
-                    break;
-                }
-            }
-            if self.spec.sibling_coop
-                && self.equipped[node as usize]
-                && self.node_up(node)
-                && self.net.tree_index(node) != 0
-            {
-                // Scoped cooperative lookup in the access-tree siblings.
-                let coop_span = self.obs.as_ref().and_then(|o| o.coop_span(idx));
-                let pop = self.net.pop_of(node);
-                let t = self.net.tree_index(node);
-                let mut sibs = std::mem::take(&mut self.siblings_buf);
-                sibs.clear();
-                sibs.extend(self.net.tree.siblings(t));
-                let mut found = None;
-                for &st in &sibs {
-                    let sib = self.net.node(pop, st);
-                    if self.detour_live(node, sib)
-                        && self.cache_contains(sib, object)
-                        && self.try_capacity(sib, idx)
-                    {
-                        if self.replica_corrupted(sib, object) {
-                            if self.spec.self_certifying {
-                                self.metrics.corrupt_detected += 1;
-                                self.evict_replica(sib, object);
-                                penalty += self.path_cost(path[0], sib) + 1.0;
-                                continue; // next sibling may hold a clean copy
-                            }
-                            poisoned = true;
-                        }
-                        found = Some(sib);
-                        break;
-                    }
-                }
-                self.siblings_buf = sibs;
-                drop(coop_span);
-                if let Some(sib) = found {
-                    server = Some(Server::Sibling {
-                        sibling: sib,
-                        via_idx: i,
-                    });
-                    break 'walk;
-                }
-            }
-        }
-        drop(probe_span);
-        drop(route_span);
-
-        // A degraded, saturated origin fails the request like an
-        // unreachable one.
-        if matches!(server, Some(Server::Origin(_))) && !self.try_origin(origin_pop, idx) {
-            server = None;
-        }
-        match server {
-            Some(server) => self.account_sp(
-                idx, &path, server, leaf, object, origin_pop, penalty, poisoned,
-            ),
-            // Failed requests deliver nothing: detection penalties are
-            // dropped with the request (no latency is recorded at all).
-            None => self.record_failed(idx, object),
-        }
-        self.path_buf = path;
-    }
-
-    /// True when both links of the sibling detour (`via` → parent →
-    /// `sibling`) are up.
-    #[inline]
-    fn detour_live(&self, via: NodeId, sibling: NodeId) -> bool {
-        match &self.fault {
-            None => true,
-            Some(f) => {
-                !f.any_link_down
-                    || (!f.link_down[self.net.tree_link(via) as usize]
-                        && !f.link_down[self.net.tree_link(sibling) as usize])
-            }
-        }
-    }
-
-    /// Accounts latency, congestion, response-path caching, and server load
-    /// for a shortest-path serve. `penalty` is extra latency from detected
-    /// corrupt fetches discarded before this serve; `poisoned` marks a
-    /// serve that delivered corrupted bytes undetected.
-    #[allow(clippy::too_many_arguments)]
-    fn account_sp(
-        &mut self,
-        idx: u64,
-        path: &[NodeId],
-        server: Server,
-        _leaf: NodeId,
-        object: u32,
-        origin_pop: u32,
-        penalty: f64,
-        poisoned: bool,
-    ) {
-        // Held to the end of the function: the span covers latency and
-        // congestion accounting plus response-path insertion.
-        let _transfer_span = self.obs.as_ref().and_then(|o| o.transfer_span(idx));
-        let depth = self.net.tree.depth;
-        let weight = self.transfer_weight(object);
-        let (serve_idx, detour_cost, detour_links) = match server {
-            Server::Cache { path_idx, .. } => (path_idx, 0.0, 0),
-            Server::Origin(_) => (path.len() - 1, 0.0, 0),
-            Server::Sibling { sibling, via_idx } => {
-                // Detour: node -> parent -> sibling, two tree links at the
-                // node's level.
-                let level = self.net.level_of(path[via_idx]);
-                let link_cost = self.cfg.latency.tree_link_cost(level, depth);
-                // Congestion: the sibling's uplink and the via node's
-                // uplink both carry the transfer.
-                self.add_transfer(self.net.tree_link(sibling), weight);
-                self.add_transfer(self.net.tree_link(path[via_idx]), weight);
-                (via_idx, 2.0 * link_cost, 2)
-            }
-        };
-
-        // Congestion on every climbed link.
-        for j in 1..=serve_idx {
-            let (a, b) = (path[j - 1], path[j]);
-            let (pa, pb) = (self.net.pop_of(a), self.net.pop_of(b));
-            if pa == pb {
-                self.add_transfer(self.net.tree_link(a), weight);
-            } else {
-                self.add_transfer(self.net.core_link(pa, pb), weight);
-            }
-        }
-        // Latency: cost of the climbed prefix plus any detour plus the
-        // serving hop. The climbed prefix of a shortest path is itself a
-        // shortest path, so its cost is one [`CostTable`] lookup; the
-        // reference mode re-accumulates it hop by hop (bit-identical —
-        // every link cost is an integer-valued f64, see `crate::costs`).
-        let cost = if self.reference {
-            let mut c = 0.0;
-            for j in 1..=serve_idx {
-                let (a, b) = (path[j - 1], path[j]);
-                if self.net.pop_of(a) == self.net.pop_of(b) {
-                    c += self.cfg.latency.tree_link_cost(self.net.level_of(a), depth);
-                } else {
-                    c += self.cfg.latency.core_link_cost(depth);
-                }
-            }
-            c
-        } else {
-            self.costs.path_cost(path[0], path[serve_idx])
-        };
-        let latency = cost + detour_cost + 1.0 + penalty;
-        self.record_served(latency);
-        if poisoned {
-            self.metrics.corrupt_served += 1;
-        }
-
-        // Server-side bookkeeping.
-        let serving_level = match server {
-            Server::Cache { node, .. } => {
-                self.metrics.cache_hits += 1;
-                let level = self.net.level_of(node);
-                self.metrics.hits_by_level[level as usize] += 1;
-                self.cache_touch(node, object);
-                level
-            }
-            Server::Sibling { sibling, .. } => {
-                self.metrics.cache_hits += 1;
-                self.metrics.coop_hits += 1;
-                let level = self.net.level_of(sibling);
-                self.metrics.hits_by_level[level as usize] += 1;
-                self.cache_touch(sibling, object);
-                level
-            }
-            Server::Origin(_) => {
-                self.metrics.origin_hits += 1;
-                self.metrics.origin_served[origin_pop as usize] += 1;
-                0
-            }
-        };
-
-        if let Some(o) = &self.obs {
-            let hit = !matches!(server, Server::Origin(_));
-            o.trace_with(|design| TraceRecord {
-                seq: idx,
-                object: object as u64,
-                design,
-                level: serving_level,
-                hops: (serve_idx + detour_links) as u32,
-                hit,
-                coop: matches!(server, Server::Sibling { .. }),
-                cost_milli: (latency * LATENCY_HIST_SCALE).round() as u64,
-            });
-        }
-
-        // Response-path caching per the insertion policy. Under the
-        // paper's default every cache-equipped router between the server
-        // and the leaf stores the object; for a sibling serve the response
-        // additionally descends through the via node's parent.
-        // "First below the server" for leave-copy-down means the first
-        // *cache-equipped* router downstream of the server (standard LCD
-        // semantics in cache hierarchies — copies descend one cache level
-        // per request).
-        let _evict_span = self.obs.as_ref().and_then(|o| o.evict_span(idx));
-        let mut lcd_available = true;
-        match server {
-            Server::Sibling { via_idx, .. } => {
-                // Response: sibling -> parent -> via node -> ... -> leaf.
-                if via_idx + 1 < path.len() {
-                    self.insert_on_response(idx, path[via_idx + 1], object, &mut lcd_available);
-                }
-                self.insert_on_response(idx, path[via_idx], object, &mut lcd_available);
-                for j in (0..via_idx).rev() {
-                    self.insert_on_response(idx, path[j], object, &mut lcd_available);
-                }
-            }
-            _ => {
-                // Walk downstream from the server toward the leaf.
-                for j in (0..serve_idx).rev() {
-                    self.insert_on_response(idx, path[j], object, &mut lcd_available);
-                }
-            }
-        }
-    }
-
-    /// Nearest-replica routing: serve at the replica (or origin) with the
-    /// minimum path cost from the leaf, with zero lookup overhead.
-    fn process_nr(&mut self, idx: u64, leaf: NodeId, object: u32, origin_pop: u32) {
-        let route_span = self.obs.as_ref().and_then(|o| o.route_span(idx));
-        let origin_root = self.net.pop_root(origin_pop);
-
-        // Fast path: the requesting leaf's own cache. The block form keeps
-        // the profiler span scoped to the probe while preserving the
-        // short-circuit.
-        let leaf_hit = {
-            let _probe_span = self.obs.as_ref().and_then(|o| o.probe_span(idx));
-            self.cache_contains(leaf, object) && self.try_capacity(leaf, idx)
-        };
-        // Latency charged for detected-corrupt fetches discarded before
-        // the eventual serve.
-        let mut penalty = 0.0;
-        if leaf_hit {
-            let leaf_poisoned = self.replica_corrupted(leaf, object);
-            if leaf_poisoned && self.spec.self_certifying {
-                // The local copy fails verification: discard it, charge
-                // the wasted local fetch, and fall through to the full
-                // replica selection below.
-                self.metrics.corrupt_detected += 1;
-                self.evict_replica(leaf, object);
-                penalty = 1.0;
-            } else {
-                if leaf_poisoned {
-                    self.metrics.corrupt_served += 1;
-                }
-                self.record_served(1.0);
-                self.metrics.cache_hits += 1;
-                let level = self.net.level_of(leaf);
-                self.metrics.hits_by_level[level as usize] += 1;
-                self.cache_touch(leaf, object);
-                if let Some(o) = &self.obs {
-                    o.trace_with(|design| TraceRecord {
-                        seq: idx,
-                        object: object as u64,
-                        design,
-                        level,
-                        hops: 0,
-                        hit: true,
-                        coop: false,
-                        cost_milli: LATENCY_HIST_SCALE as u64,
-                    });
-                }
-                return;
-            }
-        }
-
-        let origin_cost = self.path_cost(leaf, origin_root);
-        // Replica-directory lookup + candidate gathering; the cost-based
-        // selection inside nests as a child phase.
-        let dir_span = self.obs.as_ref().and_then(|o| o.dir_span(idx));
-        let choice = if self.fault.is_none() {
-            // Fault-free paths: the Option-free hot loop.
-            let server = if self.capacity.is_some() {
-                self.select_nr_capacity(leaf, object, origin_cost, idx)
-            } else {
-                let _select_span = self.obs.as_ref().and_then(|o| o.select_span(idx));
-                // Single allocation-free pass for the minimum-(cost, id)
-                // replica — the tie-break makes selection independent of
-                // `replica_dir` insertion order.
-                let mut best: Option<(f64, NodeId)> = None;
-                if self.reference {
-                    for &n in &self.replica_dir[object as usize] {
-                        if n == leaf {
-                            continue; // leaf already checked (capacity may have failed)
-                        }
-                        let c = self.cfg.latency.path_cost(self.net, leaf, n);
-                        if best.is_none_or(|(bc, bn)| c < bc || (c == bc && n < bn)) {
-                            best = Some((c, n));
-                        }
-                    }
-                } else if let Some(masks) = &self.masks {
-                    // Rank-ordered masks: one candidate per foreign PoP
-                    // (its first set bit is provably that PoP's
-                    // (cost, NodeId)-minimal replica). The leaf's own PoP
-                    // still needs per-candidate LCA costs, but its walk
-                    // runs deepest-rank-first with a climb-difference
-                    // lower bound that stops the scan early — see
-                    // [`CostFrom::min_in_own_mask`].
-                    //
-                    // [`CostFrom::min_in_own_mask`]: crate::costs::CostFrom::min_in_own_mask
-                    let from = self.costs.from(leaf);
-                    let pa = from.pop();
-                    let tn = self.net.tree.nodes();
-                    for &(p, mask) in masks.entries(object) {
-                        if p == pa {
-                            from.min_in_own_mask(mask, &mut best);
-                        } else {
-                            let r = mask.trailing_zeros();
-                            let c = from.to_pop_rank(p, r);
-                            let n = p * tn + self.costs.t_of_rank(r);
-                            if best.is_none_or(|(bc, bn)| c < bc || (c == bc && n < bn)) {
-                                best = Some((c, n));
-                            }
-                        }
-                    }
-                } else {
-                    let from = self.costs.from(leaf);
-                    for &n in &self.replica_dir[object as usize] {
-                        if n == leaf {
-                            continue; // leaf already checked (capacity may have failed)
-                        }
-                        let c = from.to(n);
-                        if best.is_none_or(|(bc, bn)| c < bc || (c == bc && n < bn)) {
-                            best = Some((c, n));
-                        }
-                    }
-                }
-                best.filter(|&(c, _)| c < origin_cost)
-            };
-            match server {
-                Some((c, n)) => NrChoice::Replica {
-                    cost: c,
-                    node: n,
-                    poisoned: false,
-                },
-                None => NrChoice::Origin,
-            }
-        } else {
-            self.select_nr_faulted(leaf, object, origin_root, origin_cost, idx, &mut penalty)
-        };
-        drop(dir_span);
-
-        let (cost, server_node, is_origin, poisoned) = match choice {
-            NrChoice::Replica {
-                cost,
-                node,
-                poisoned,
-            } => (cost, node, false, poisoned),
-            NrChoice::Origin => {
-                // A degraded, saturated origin fails the request.
-                if !self.try_origin(origin_pop, idx) {
-                    drop(route_span);
-                    self.record_failed(idx, object);
-                    return;
-                }
-                (origin_cost, origin_root, true, false)
-            }
-            NrChoice::Failed => {
-                drop(route_span);
-                self.record_failed(idx, object);
-                return;
-            }
-        };
-        drop(route_span);
-        // Covers latency/congestion accounting and response-path insertion.
-        let _transfer_span = self.obs.as_ref().and_then(|o| o.transfer_span(idx));
-
-        let latency = cost + 1.0 + penalty;
-        self.record_served(latency);
-        if poisoned {
-            self.metrics.corrupt_served += 1;
-        }
-        let serving_level = if is_origin {
-            self.metrics.origin_hits += 1;
-            self.metrics.origin_served[origin_pop as usize] += 1;
-            0
-        } else {
-            self.metrics.cache_hits += 1;
-            let level = self.net.level_of(server_node);
-            self.metrics.hits_by_level[level as usize] += 1;
-            self.cache_touch(server_node, object);
-            level
-        };
-
-        // Congestion along the response path.
-        let weight = self.transfer_weight(object);
-        let mut links = std::mem::take(&mut self.links_buf);
-        links.clear();
-        self.net.path_links_into(leaf, server_node, &mut links);
-        for &l in &links {
-            self.add_transfer(l, weight);
-        }
-        if let Some(o) = &self.obs {
-            let hops = links.len() as u32;
-            o.trace_with(|design| TraceRecord {
-                seq: idx,
-                object: object as u64,
-                design,
-                level: serving_level,
-                hops,
-                hit: !is_origin,
-                coop: false,
-                cost_milli: (latency * LATENCY_HIST_SCALE).round() as u64,
-            });
-        }
-        self.links_buf = links;
-
-        // Response-path caching per the insertion policy (the server
-        // itself is skipped; it already has the object).
-        let _evict_span = self.obs.as_ref().and_then(|o| o.evict_span(idx));
-        let mut nodes = std::mem::take(&mut self.nodes_buf);
-        nodes.clear();
-        self.net.path_nodes_into(server_node, leaf, &mut nodes);
-        let mut lcd_available = true;
-        for &n in nodes.iter().skip(1) {
-            self.insert_on_response(idx, n, object, &mut lcd_available);
-        }
-        self.nodes_buf = nodes;
-    }
-
-    /// Path cost between two routers: a [`CostTable`] lookup on the hot
-    /// path, or the full [`LatencyModel`](crate::latency::LatencyModel)
-    /// recomputation in reference mode. The two are bit-identical.
-    #[inline]
-    fn path_cost(&self, a: NodeId, b: NodeId) -> f64 {
-        if self.reference {
-            self.cfg.latency.path_cost(self.net, a, b)
-        } else {
-            self.costs.path_cost(a, b)
-        }
-    }
-
-    /// Expands the mask directory's candidates for `object` into the
-    /// parallel `costs_out`/`nodes_out` arrays, skipping `leaf` and any
-    /// candidate at or above `max_cost` — the mask-mode equivalent of
-    /// iterating `replica_dir[object]`. Used by the capacity-limited and
-    /// faulted selections, which may need to probe past the per-PoP
-    /// minimum and therefore want the full candidate set.
-    fn extend_cands_from_masks(
-        &self,
-        object: u32,
-        leaf: NodeId,
-        max_cost: f64,
-        costs_out: &mut Vec<f64>,
-        nodes_out: &mut Vec<NodeId>,
-    ) {
-        let Some(masks) = &self.masks else {
-            return; // callers gate on `masks.is_some()`
-        };
-        let from = self.costs.from(leaf);
-        let (pa, ta) = (from.pop(), from.tree());
-        let tn = self.net.tree.nodes();
-        for &(p, mask) in masks.entries(object) {
-            let mut bits = mask;
-            while bits != 0 {
-                let r = bits.trailing_zeros();
-                bits &= bits - 1;
-                let t = self.costs.t_of_rank(r);
-                let c = if p == pa {
-                    if t == ta {
-                        continue; // the requesting leaf itself
-                    }
-                    from.to_tree(t)
-                } else {
-                    from.to_pop_rank(p, r)
-                };
-                if c < max_cost {
-                    costs_out.push(c);
-                    nodes_out.push(p * tn + t);
-                }
-            }
-        }
-    }
-
-    /// Capacity-limited nearest-replica selection: probe candidates in
-    /// ascending `(cost, NodeId)` order until one has serving capacity
-    /// left; the origin serves when none does or when it is at least as
-    /// close. Allocation-free: candidates live in the persistent scratch
-    /// buffer, and the common case (nearest candidate has capacity) is a
-    /// single select-min pass with no sort. A failed `try_capacity` probe
-    /// does not mutate the tracker, so discarding the probed minimum and
-    /// rescanning preserves exact probe order without sorting.
-    fn select_nr_capacity(
-        &mut self,
-        leaf: NodeId,
-        object: u32,
-        origin_cost: f64,
-        idx: u64,
-    ) -> Option<(f64, NodeId)> {
-        let _select_span = self.obs.as_ref().and_then(|o| o.select_span(idx));
-        if self.reference {
-            // Legacy shape: gather tuples, stable sort, then walk in order
-            // — same `(cost, NodeId)` contract, same capacity probe
-            // sequence as the flat select-min below.
-            let mut cands = std::mem::take(&mut self.cand_pairs);
-            cands.clear();
-            cands.extend(
-                self.replica_dir[object as usize]
-                    .iter()
-                    .filter(|&&n| n != leaf)
-                    .map(|&n| (self.cfg.latency.path_cost(self.net, leaf, n), n))
-                    .filter(|&(c, _)| c < origin_cost),
-            );
-            cands.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            let mut chosen = None;
-            for &(cost, node) in &cands {
-                if self.try_capacity(node, idx) {
-                    chosen = Some((cost, node));
-                    break;
-                }
-            }
-            self.cand_pairs = cands;
-            return chosen;
-        }
-        let mut costs = std::mem::take(&mut self.cand_cost);
-        let mut nodes = std::mem::take(&mut self.cand_node);
-        costs.clear();
-        nodes.clear();
-        if self.masks.is_some() {
-            self.extend_cands_from_masks(object, leaf, origin_cost, &mut costs, &mut nodes);
-        } else {
-            let from = self.costs.from(leaf);
-            for &n in &self.replica_dir[object as usize] {
-                if n == leaf {
-                    continue;
-                }
-                let c = from.to(n);
-                if c < origin_cost {
-                    costs.push(c);
-                    nodes.push(n);
-                }
-            }
-        }
-        let mut chosen = None;
-        while let Some(i) = min_candidate(&costs, &nodes) {
-            let (cost, node) = (costs[i], nodes[i]);
-            if self.try_capacity(node, idx) {
-                chosen = Some((cost, node));
-                break;
-            }
-            costs.swap_remove(i);
-            nodes.swap_remove(i);
-        }
-        self.cand_cost = costs;
-        self.cand_node = nodes;
-        chosen
-    }
-
-    /// Nearest-replica server selection under an active fault schedule:
-    /// ICN-NR falls back to the next-nearest *live* replica (up node, live
-    /// path), preferring the origin when it is reachable and at least as
-    /// close. With the origin unreachable, any live replica serves at any
-    /// cost; with none, the request fails.
-    ///
-    /// Shares the fault-free ordering contract: candidates are considered
-    /// in ascending `(cost, NodeId)` order (scratch buffer + select-min,
-    /// or a stable sort in reference mode — identical probe sequences),
-    /// so under a zero-failure schedule every liveness check passes and
-    /// the selection reduces exactly to the fault-free paths.
-    /// `penalty` accumulates the wasted round-trip latency of replicas
-    /// whose corruption was caught by self-certification (the copy is
-    /// evicted and the scan continues).
-    fn select_nr_faulted(
-        &mut self,
-        leaf: NodeId,
-        object: u32,
-        origin_root: NodeId,
-        origin_cost: f64,
-        idx: u64,
-        penalty: &mut f64,
-    ) -> NrChoice {
-        let _select_span = self.obs.as_ref().and_then(|o| o.select_span(idx));
-        let origin_reachable = self.path_live(leaf, origin_root);
-        let mut choice = None;
-        if self.reference {
-            let mut cands = std::mem::take(&mut self.cand_pairs);
-            cands.clear();
-            cands.extend(
-                self.replica_dir[object as usize]
-                    .iter()
-                    .filter(|&&n| n != leaf)
-                    .map(|&n| (self.cfg.latency.path_cost(self.net, leaf, n), n)),
-            );
-            cands.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            for &(cost, node) in &cands {
-                if origin_reachable && cost >= origin_cost {
-                    break; // origin is at least as close; prefer it
-                }
-                if !self.node_up(node) || !self.path_live(leaf, node) {
-                    continue;
-                }
-                if self.try_capacity(node, idx) {
-                    let corrupted = self.replica_corrupted(node, object);
-                    if corrupted && self.spec.self_certifying {
-                        self.metrics.corrupt_detected += 1;
-                        self.evict_replica(node, object);
-                        *penalty += cost + 1.0;
-                        continue; // scan on for a clean copy
-                    }
-                    choice = Some(NrChoice::Replica {
-                        cost,
-                        node,
-                        poisoned: corrupted,
-                    });
-                    break;
-                }
-            }
-            self.cand_pairs = cands;
-        } else {
-            let mut costs = std::mem::take(&mut self.cand_cost);
-            let mut nodes = std::mem::take(&mut self.cand_node);
-            costs.clear();
-            nodes.clear();
-            if self.masks.is_some() {
-                self.extend_cands_from_masks(object, leaf, f64::INFINITY, &mut costs, &mut nodes);
-            } else {
-                let from = self.costs.from(leaf);
-                for &n in &self.replica_dir[object as usize] {
-                    if n == leaf {
-                        continue;
-                    }
-                    costs.push(from.to(n));
-                    nodes.push(n);
-                }
-            }
-            while let Some(i) = min_candidate(&costs, &nodes) {
-                let (cost, node) = (costs[i], nodes[i]);
-                if origin_reachable && cost >= origin_cost {
-                    break; // origin is at least as close; prefer it
-                }
-                costs.swap_remove(i);
-                nodes.swap_remove(i);
-                if !self.node_up(node) || !self.path_live(leaf, node) {
-                    continue;
-                }
-                if self.try_capacity(node, idx) {
-                    let corrupted = self.replica_corrupted(node, object);
-                    if corrupted && self.spec.self_certifying {
-                        self.metrics.corrupt_detected += 1;
-                        self.evict_replica(node, object);
-                        *penalty += cost + 1.0;
-                        continue; // scan on for a clean copy
-                    }
-                    choice = Some(NrChoice::Replica {
-                        cost,
-                        node,
-                        poisoned: corrupted,
-                    });
-                    break;
-                }
-            }
-            self.cand_cost = costs;
-            self.cand_node = nodes;
-        }
-        choice.unwrap_or(if origin_reachable {
-            NrChoice::Origin
-        } else {
-            NrChoice::Failed
-        })
-    }
-
-    #[inline]
-    fn transfer_weight(&self, object: u32) -> u64 {
-        if self.cfg.weight_by_size {
-            self.object_sizes[object as usize] as u64
-        } else {
-            1
-        }
-    }
-
-    #[inline]
-    fn add_transfer(&mut self, link: u32, weight: u64) {
-        self.metrics.link_transfers[link as usize] += weight;
-    }
-
-    #[inline]
-    fn cache_contains(&self, node: NodeId, object: u32) -> bool {
-        self.node_up(node) && self.caches[node as usize].contains(object as u64)
-    }
-
-    #[inline]
-    fn cache_touch(&mut self, node: NodeId, object: u32) {
-        self.caches[node as usize].touch(object as u64);
-    }
-
-    /// Inserts `object` into the cache at `node` (if any) at logical time
-    /// `idx`, keeping the nearest-replica directory in sync. The origin
-    /// PoP root never caches its own objects — it already hosts them in
-    /// its (infinite) origin store.
-    fn cache_insert(&mut self, idx: u64, node: NodeId, object: u32) {
-        if self.origins[object as usize] as u32 == self.net.pop_of(node)
-            && self.net.tree_index(node) == 0
-        {
-            return;
-        }
-        // A crashed node stores nothing until its outage ends.
-        if !self.node_up(node) {
-            return;
-        }
-        if !self.equipped[node as usize] {
-            return;
-        }
-        let track = self.spec.routing == Routing::NearestReplica;
-        let c = &mut self.caches[node as usize];
-        let had = c.contains(object as u64);
-        let evicted = c.insert_at(object as u64, idx);
-        let stored = c.contains(object as u64);
-        // Under a TTL policy every successful insert — fresh or renewal —
-        // opens a lease ending at `idx + ttl`; queue it for the drain in
-        // [`Simulator::expire_due`]. Renewals leave the old queue entry
-        // behind as a stale stamp.
-        if let Some(ttl) = self.ttl_len {
-            if stored {
-                self.ttl_queue.push_back((idx + ttl, node, object));
-            }
-        }
-        if track {
-            let inserted = !had && stored;
-            if let Some(masks) = &mut self.masks {
-                let (p, t) = (self.net.pop_of(node), self.net.tree_index(node));
-                let r = self.costs.rank_of(t);
-                if let Some(e) = evicted {
-                    masks.remove(e as u32, p, r);
-                }
-                if inserted {
-                    masks.insert(object, p, r);
-                }
-            } else {
-                if let Some(e) = evicted {
-                    let dir = &mut self.replica_dir[e as usize];
-                    if let Some(pos) = dir.iter().position(|&n| n == node) {
-                        dir.swap_remove(pos);
-                    }
-                }
-                if inserted {
-                    self.replica_dir[object as usize].push(node);
-                }
-            }
-        }
-    }
-
-    /// Applies the insertion policy to one router on the response path,
-    /// walked from the server toward the client. `lcd_available` tracks
-    /// whether the leave-copy-down slot (the first cache-equipped router
-    /// below the server) is still unclaimed.
-    #[inline]
-    fn insert_on_response(
-        &mut self,
-        idx: u64,
-        node: NodeId,
-        object: u32,
-        lcd_available: &mut bool,
-    ) {
-        let equipped = self.equipped[node as usize];
-        let insert = match self.cfg.insertion {
-            InsertionPolicy::Everywhere => true,
-            InsertionPolicy::LeaveCopyDown => {
-                let take = equipped && *lcd_available;
-                if take {
-                    *lcd_available = false;
-                }
-                take
-            }
-            InsertionPolicy::Probabilistic { p } => equipped && self.rng.gen::<f64>() < p,
-        };
-        if insert {
-            self.cache_insert(idx, node, object);
-        }
-    }
-
-    /// Capacity gate: true when the node may serve this request (and
-    /// reserves a slot). Unlimited when no capacity model is configured.
-    #[inline]
-    fn try_capacity(&mut self, node: NodeId, idx: u64) -> bool {
-        match &mut self.capacity {
-            None => true,
-            Some(t) => t.try_serve(node, idx),
-        }
-    }
-}
-
-/// Index of the `(cost, NodeId)`-minimal candidate in the parallel
-/// `costs`/`nodes` arrays, `None` when empty. The composite key is a total
-/// order over candidates (node ids are unique within a directory), so the
-/// minimum — and therefore every selection built on it — is independent of
-/// candidate order. Takes struct-of-arrays slices so the scan is two
-/// contiguous walks; shared with the epoch-sharded engine
-/// (`crate::shard`), whose probe loops must match this one bit-for-bit.
-#[inline]
-pub(crate) fn min_candidate(costs: &[f64], nodes: &[NodeId]) -> Option<usize> {
-    debug_assert_eq!(costs.len(), nodes.len());
-    let mut best: Option<(usize, f64, NodeId)> = None;
-    for (i, (&c, &n)) in costs.iter().zip(nodes).enumerate() {
-        if best.is_none_or(|(_, bc, bn)| c < bc || (c == bc && n < bn)) {
-            best = Some((i, c, n));
-        }
-    }
-    best.map(|(i, _, _)| i)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::design::DesignKind;
+    use crate::kernel::invariant;
     use icn_topology::{pop::PopGraph, AccessTree};
     use icn_workload::trace::Request;
 
@@ -1811,7 +537,10 @@ mod tests {
             let mut sim = sim_with(&net, DesignKind::IcnNr, &origins, &sizes);
             sim.set_reference(true);
             sim.run(&reqs[..mid]);
-            for (o, dir) in sim.replica_dir.iter_mut().enumerate() {
+            let Directory::Lists(lists) = &mut sim.kernel.world.dir else {
+                panic!("reference mode keeps the Vec directory");
+            };
+            for (o, dir) in lists.iter_mut().enumerate() {
                 match flavor {
                     0 => dir.reverse(),
                     1 => {
@@ -1913,14 +642,21 @@ mod tests {
     /// at exactly its holders — the invariant lease expiry and crash
     /// flushes both have to preserve.
     fn assert_directory_matches_caches(sim: &Simulator, objects: u32) {
-        for o in 0..objects {
-            let dir = sim.replicas_of(o);
-            for n in 0..sim.net.node_count() {
-                assert_eq!(
-                    sim.caches[n as usize].contains(o as u64),
-                    dir.contains(&n),
-                    "object {o} at node {n}: directory out of sync"
-                );
+        invariant::assert_directory_matches_caches(&sim.env, &sim.kernel.world, objects);
+    }
+
+    #[test]
+    fn live_directory_survives_ttl_crashes_and_corruption() {
+        // Both directory representations (bitmask, and reference mode's
+        // Vec) must stay exact under every way a replica can disappear.
+        let (net, trace, origins) = invariant::fixture();
+        for (label, cfg) in invariant::stress_configs(DesignKind::IcnNr) {
+            for reference in [false, true] {
+                let mut sim = Simulator::new(&net, cfg.clone(), &origins, &trace.object_sizes);
+                sim.set_reference(reference);
+                let m = sim.run(&trace.requests);
+                assert!(m.cache_hits > 0, "{label}: fixture never hit a cache");
+                assert_directory_matches_caches(&sim, origins.len() as u32);
             }
         }
     }

@@ -24,7 +24,7 @@ use icn_topology::{AccessTree, Network, PopGraph};
 use icn_workload::origin::{assign_origins, OriginPolicy};
 use icn_workload::trace::{Trace, TraceConfig};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Once, OnceLock};
 
 /// A reusable experiment setting: network + trace + origin map.
 ///
@@ -103,24 +103,42 @@ impl Scenario {
     /// engine (DESIGN.md §13): `CELL_SHARDS` caps the intra-cell worker
     /// count (output-invariant — any value produces the same bytes) and
     /// `ICN_EPOCH_LEN` sets the semantic epoch length. Unset (or `0`),
-    /// the exact sequential simulator runs, as before.
+    /// the exact sequential simulator runs; it also runs — with one stderr
+    /// line per process saying so — when the pair exceeds a shard-engine
+    /// limit.
     pub fn run_config(&self, cfg: ExperimentConfig) -> RunMetrics {
         let shards = cell_shards();
-        if shards > 0 && shard::supported(&self.net, &cfg) {
-            let opts = ShardOpts {
-                shards: shard_workers(shards),
-                epoch_len: epoch_len(),
-                reference: reference_mode(),
-            };
-            return shard::run_sharded(
-                &self.net,
-                &cfg,
-                &self.origins,
-                &self.trace.object_sizes,
-                self.trace.requests.iter().copied(),
-                &opts,
-            )
-            .metrics;
+        if shards > 0 {
+            match shard::unsupported_reason(&self.net, &cfg) {
+                None => {
+                    let opts = ShardOpts {
+                        shards: shard_workers(shards),
+                        epoch_len: epoch_len(),
+                        reference: reference_mode(),
+                    };
+                    return shard::run_sharded(
+                        &self.net,
+                        &cfg,
+                        &self.origins,
+                        &self.trace.object_sizes,
+                        self.trace.requests.iter().copied(),
+                        &opts,
+                    )
+                    .metrics;
+                }
+                // The sequential engine has different (exact) semantics,
+                // so say that the requested engine is not the one running.
+                Some(limit) => {
+                    static WARNED: Once = Once::new();
+                    WARNED.call_once(|| {
+                        eprintln!(
+                            "warning: CELL_SHARDS={shards} ignored for {}: {limit}; running \
+                             the sequential engine (reported once per process)",
+                            cfg.design.name()
+                        );
+                    });
+                }
+            }
         }
         let mut sim = Simulator::new(&self.net, cfg, &self.origins, &self.trace.object_sizes);
         sim.run(&self.trace.requests);

@@ -328,6 +328,32 @@ fn oversized_trees_are_rejected_by_supported() {
         &net,
         &ExperimentConfig::baseline(DesignKind::Edge)
     ));
+
+    // Shortest-path routing with cache-equipped PoP roots keeps one
+    // residency bit per PoP in a u128: a 129-PoP ring is one too many for
+    // ICN-SP, while EDGE (leaf caches only, so no root residency to
+    // track) and ICN-NR (per-PoP mask groups, any PoP count) stay
+    // eligible.
+    let pops = 129u32;
+    let ring = PopGraph::new(
+        "ring129",
+        (0..pops).map(|p| format!("p{p}")).collect(),
+        vec![1_000; pops as usize],
+        (0..pops).map(|p| (p, (p + 1) % pops)).collect(),
+    );
+    let wide = Network::new(ring, AccessTree::new(2, 2));
+    assert!(!supported(
+        &wide,
+        &ExperimentConfig::baseline(DesignKind::IcnSp)
+    ));
+    assert!(supported(
+        &wide,
+        &ExperimentConfig::baseline(DesignKind::Edge)
+    ));
+    assert!(supported(
+        &wide,
+        &ExperimentConfig::baseline(DesignKind::IcnNr)
+    ));
 }
 
 proptest! {

@@ -51,7 +51,11 @@ outprof="$(mktemp /tmp/fig6-profiled.XXXXXX.txt)"
 shard1="$(mktemp /tmp/fig6-shards1.XXXXXX.txt)"
 shard4="$(mktemp /tmp/fig6-shards4.XXXXXX.txt)"
 shardref="$(mktemp /tmp/fig6-shardsref.XXXXXX.txt)"
-trap 'rm -f "$sidecar" "$out1" "$out4" "$outref" "$fail1" "$fail4" "$dis1" "$dis4" "$dyn1" "$dyn4" "$benchjson" "$benchjson2" "$outprof" "$shard1" "$shard4" "$shardref"' EXIT
+golden="$(mktemp /tmp/fig6-golden.XXXXXX.txt)"
+dsh1="$(mktemp /tmp/disasters-shards1.XXXXXX.txt)"
+dsh4="$(mktemp /tmp/disasters-shards4.XXXXXX.txt)"
+dshref="$(mktemp /tmp/disasters-shardsref.XXXXXX.txt)"
+trap 'rm -f "$sidecar" "$out1" "$out4" "$outref" "$fail1" "$fail4" "$dis1" "$dis4" "$dyn1" "$dyn4" "$benchjson" "$benchjson2" "$outprof" "$shard1" "$shard4" "$shardref" "$golden" "$dsh1" "$dsh4" "$dshref"' EXIT
 SCALE="${SCALE:-0.02}" cargo run --release -p icn-bench --bin fig6 -- \
     --telemetry "$sidecar" >/dev/null
 cargo run --release -p icn-bench --bin telemetry_check -- "$sidecar" >/dev/null
@@ -73,10 +77,19 @@ SCALE="${SCALE:-0.02}" JOBS=1 ICN_SIM_REFERENCE=1 \
 cmp "$out1" "$outref"
 echo "flat and reference stdout byte-identical"
 
+echo "=== committed-figure cross-check (fig6 at its default SCALE vs results/fig6.txt)"
+# results/fig6.txt was generated before the request kernel was unified,
+# so this pins every later kernel change to bytes it did not produce
+# itself. Regenerate with scripts/run_all_experiments.sh only for a change
+# that is meant to move the figures.
+env -u SCALE cargo run --release -p icn-bench --bin fig6 >"$golden" 2>/dev/null
+cmp "$golden" results/fig6.txt
+echo "fig6 stdout byte-identical to results/fig6.txt"
+
 echo "=== intra-cell shard determinism (fig6 CELL_SHARDS=1 vs 4, vs reference)"
 # The epoch-sharded engine defines its semantics per-PoP, so the worker
 # count is pure mechanics: CELL_SHARDS=1 and CELL_SHARDS=4 must print the
-# same bytes, and both must match the reference (non-SoA) lane kernels.
+# same bytes, and both must match the kernel's reference (non-SoA) mode.
 # Cell-level JOBS composes with intra-cell shards; stacking both must not
 # move a byte either.
 SCALE="${SCALE:-0.02}" JOBS=1 CELL_SHARDS=1 \
@@ -139,6 +152,28 @@ JOBS=4 cargo run --release -p icn-bench --bin disasters -- --smoke \
 cmp "$dis1" "$dis4"
 echo "disaster sweep JOBS=1 and JOBS=4 stdout byte-identical"
 
+echo "=== epoch-engine determinism (disasters --smoke, CELL_SHARDS=1 vs 4, vs reference)"
+# The figure binaries instrument every grid cell, and instrumented cells
+# always take the sequential engine, so the fig6 CELL_SHARDS step above
+# never reaches a lane. The disaster sweep calls Scenario::run_config
+# uninstrumented: this is the byte-compare that runs the request kernel
+# over lane worlds (faults, corruption and cascades included). Epoch
+# semantics differ from sequential ones, so equal bytes would mean the
+# lanes did not run.
+JOBS=1 CELL_SHARDS=1 cargo run --release -p icn-bench --bin disasters -- --smoke \
+    >"$dsh1" 2>/dev/null
+JOBS=4 CELL_SHARDS=4 cargo run --release -p icn-bench --bin disasters -- --smoke \
+    >"$dsh4" 2>/dev/null
+JOBS=1 CELL_SHARDS=4 ICN_SIM_REFERENCE=1 cargo run --release -p icn-bench --bin disasters -- --smoke \
+    >"$dshref" 2>/dev/null
+cmp "$dsh1" "$dsh4"
+cmp "$dsh1" "$dshref"
+if cmp -s "$dis1" "$dsh1"; then
+    echo "error: CELL_SHARDS did not reach the epoch engine" >&2
+    exit 1
+fi
+echo "epoch engine CELL_SHARDS=1 and CELL_SHARDS=4 (with JOBS=4 and reference mode) byte-identical"
+
 echo "=== workload-dynamics smoke (dynamics --smoke, JOBS=1 vs JOBS=4)"
 # Exercises the streaming dynamics (diurnal/flash/churn), the TTL expiry
 # queue, and TinyLFU admission through the parallel sweep path; dynamics
@@ -149,5 +184,12 @@ JOBS=4 cargo run --release -p icn-bench --bin dynamics -- --smoke \
     >"$dyn4" 2>/dev/null
 cmp "$dyn1" "$dyn4"
 echo "dynamics sweep JOBS=1 and JOBS=4 stdout byte-identical"
+
+echo "=== repo benchmark harness (benchmark/: unit tests + --smoke)"
+# The harness is a workspace of its own (see BENCHMARK.json); its smoke
+# run drives every workload at ~1/20 size with all built-in checks on
+# (run == run_streamed, run_sharded 1 vs nproc workers, golden digests).
+cargo test --offline --manifest-path benchmark/Cargo.toml
+cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --smoke
 
 echo "all checks passed"
