@@ -50,7 +50,7 @@ fn main() {
     // that all eleven ablation rows go through one parallel gap batch.
     let jobs = icn_bench::jobs();
     eprintln!("... building 2 scenarios, running 22 cells (JOBS={jobs})");
-    let scenarios = icn_bench::par_build(2, jobs, |i| {
+    let scenarios = icn_core::sweep::par_map(2, jobs, |_, i| {
         att_scenario(if i == 0 {
             SizeModel::Unit
         } else {

@@ -124,7 +124,7 @@ fn main() {
         topos.len(),
         topos.len() * DESIGNS.len() * per_pair
     );
-    let scenarios: Vec<Scenario> = icn_bench::par_build(topos.len(), jobs, |i| {
+    let scenarios: Vec<Scenario> = icn_core::sweep::par_map(topos.len(), jobs, |_, i| {
         Scenario::build(
             topos[i].clone(),
             icn_bench::baseline_tree(),

@@ -21,7 +21,7 @@ use icn_cache::PolicyKind;
 use icn_core::config::ExperimentConfig;
 use icn_core::design::DesignKind;
 use icn_core::metrics::Improvement;
-use icn_core::sweep::{Scenario, SweepCell};
+use icn_core::sweep::{par_map, Scenario, SweepCell};
 use icn_workload::dynamics::DynamicsConfig;
 use icn_workload::origin::OriginPolicy;
 use icn_workload::trace::TraceConfig;
@@ -91,7 +91,7 @@ fn main() {
         topos.len() * loads.len(),
         topos.len() * loads.len() * pols.len() * DESIGNS.len()
     );
-    let scenarios: Vec<Scenario> = icn_bench::par_build(topos.len() * loads.len(), jobs, |i| {
+    let scenarios: Vec<Scenario> = par_map(topos.len() * loads.len(), jobs, |_, i| {
         let (t, w) = (i / loads.len(), i % loads.len());
         let cfg = TraceConfig {
             dynamics: loads[w].1,

@@ -38,7 +38,7 @@ fn main() {
         topos.len(),
         topos.len() * designs.len() * per_pair
     );
-    let scenarios = icn_bench::par_build(topos.len(), jobs, |i| {
+    let scenarios = icn_core::sweep::par_map(topos.len(), jobs, |_, i| {
         icn_bench::baseline_scenario(topos[i].clone())
     });
     let cells: Vec<icn_core::sweep::SweepCell<'_>> = scenarios

@@ -26,7 +26,7 @@ fn main() {
     // parallel batch (12 cells, submission order = the printed order).
     let jobs = icn_bench::jobs();
     eprintln!("... building 2 scenarios, running 12 cells (JOBS={jobs})");
-    let scenarios = icn_bench::par_build(2, jobs, |i| {
+    let scenarios = icn_core::sweep::par_map(2, jobs, |_, i| {
         if i == 0 {
             let mut trace_cfg = icn_bench::asia_trace(icn_bench::scale());
             trace_cfg.alpha = 0.1;

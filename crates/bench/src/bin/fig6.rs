@@ -27,7 +27,7 @@ pub fn run(telemetry: &icn_bench::Telemetry, budget: icn_cache::budget::BudgetPo
         topos.len(),
         topos.len() * designs.len()
     );
-    let scenarios = icn_bench::par_build(topos.len(), jobs, |i| {
+    let scenarios = icn_core::sweep::par_map(topos.len(), jobs, |_, i| {
         icn_bench::baseline_scenario(topos[i].clone())
     });
     let cells: Vec<icn_core::sweep::SweepCell<'_>> = scenarios

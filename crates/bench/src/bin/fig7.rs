@@ -21,7 +21,7 @@ fn main() {
         topos.len(),
         topos.len() * designs.len()
     );
-    let scenarios = icn_bench::par_build(topos.len(), jobs, |i| {
+    let scenarios = icn_core::sweep::par_map(topos.len(), jobs, |_, i| {
         Scenario::build(
             topos[i].clone(),
             icn_bench::baseline_tree(),

@@ -20,7 +20,7 @@ fn main() {
     let alphas = [0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6];
     let jobs = icn_bench::jobs();
     eprintln!("... building {} scenarios (JOBS={jobs})", alphas.len());
-    let scenarios = icn_bench::par_build(alphas.len(), jobs, |i| {
+    let scenarios = icn_core::sweep::par_map(alphas.len(), jobs, |_, i| {
         let mut trace_cfg = icn_bench::asia_trace(icn_bench::scale());
         trace_cfg.alpha = alphas[i];
         Scenario::build(

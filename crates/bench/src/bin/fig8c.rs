@@ -24,7 +24,7 @@ fn main() {
     let skews = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0];
     let jobs = icn_bench::jobs();
     eprintln!("... building {} scenarios (JOBS={jobs})", skews.len());
-    let scenarios = icn_bench::par_build(skews.len(), jobs, |i| {
+    let scenarios = icn_core::sweep::par_map(skews.len(), jobs, |_, i| {
         let mut trace_cfg = icn_bench::asia_trace(icn_bench::scale());
         trace_cfg.skew = skews[i];
         Scenario::build(

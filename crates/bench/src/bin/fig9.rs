@@ -55,7 +55,7 @@ fn main() {
     let steps = steps();
     let jobs = icn_bench::jobs();
     eprintln!("... building {} scenarios (JOBS={jobs})", steps.len());
-    let scenarios = icn_bench::par_build(steps.len(), jobs, |i| {
+    let scenarios = icn_core::sweep::par_map(steps.len(), jobs, |_, i| {
         Scenario::build(
             icn_topology::pop::att(),
             icn_bench::baseline_tree(),

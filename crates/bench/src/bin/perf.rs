@@ -20,12 +20,12 @@
 //! free of profiler overhead. With `--no-default-features` the section is
 //! present but empty (`{"phases": {}}`).
 
-use icn_bench::{self as bench, par_build};
+use icn_bench as bench;
 use icn_core::config::ExperimentConfig;
 use icn_core::design::DesignKind;
 use icn_core::instrument::SimObs;
 use icn_core::shard::{self, ShardOpts};
-use icn_core::sweep::Scenario;
+use icn_core::sweep::{par_map, Scenario};
 use icn_obs::{peak_rss_kb, Profiler, Registry};
 use icn_topology::pop;
 use icn_workload::origin::OriginPolicy;
@@ -81,7 +81,7 @@ fn main() {
         "[perf] building {} scenario(s) at scale {scale}...",
         topos.len()
     );
-    let scenarios: Vec<Scenario> = par_build(topos.len(), bench::jobs(), |i| {
+    let scenarios: Vec<Scenario> = par_map(topos.len(), bench::jobs(), |_, i| {
         Scenario::build(
             topos[i].clone(),
             bench::baseline_tree(),

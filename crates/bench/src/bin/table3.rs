@@ -53,7 +53,7 @@ fn main() {
         topos.len() * 2,
         topos.len() * 4
     );
-    let scenarios = icn_bench::par_build(topos.len() * 2, jobs, |i| {
+    let scenarios = icn_core::sweep::par_map(topos.len() * 2, jobs, |_, i| {
         let with_locality = i % 2 == 0;
         let mut cfg = icn_bench::asia_trace(icn_bench::scale());
         if !with_locality {

@@ -31,7 +31,7 @@ fn main() {
     icn_bench::rule(70);
     let jobs = icn_bench::jobs();
     eprintln!("... building {} scenarios (JOBS={jobs})", PAPER.len());
-    let scenarios = icn_bench::par_build(PAPER.len(), jobs, |i| {
+    let scenarios = icn_core::sweep::par_map(PAPER.len(), jobs, |_, i| {
         let tree = AccessTree::with_fixed_leaves(PAPER[i].0, 64);
         Scenario::build(
             icn_topology::pop::att(),

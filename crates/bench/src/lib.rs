@@ -14,9 +14,6 @@
 
 #![warn(missing_docs)]
 
-use icn_core::config::ExperimentConfig;
-use icn_core::design::DesignKind;
-use icn_core::metrics::Improvement;
 use icn_core::sweep::Scenario;
 use icn_topology::{pop, AccessTree, PopGraph};
 use icn_workload::origin::OriginPolicy;
@@ -83,36 +80,9 @@ pub fn parse_jobs(s: &str) -> Result<usize, String> {
     }
 }
 
-fn die(msg: &str) -> ! {
+pub(crate) fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(2);
-}
-
-/// Deterministic parallel build: computes `f(0..n)` over [`jobs`] scoped
-/// worker threads (work-stealing index) and returns the results in index
-/// order. Used to parallelize scenario construction — trace synthesis is
-/// seeded, so the built scenarios are identical at any worker count.
-pub fn par_build<R: Send + Sync>(n: usize, jobs: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
-    if jobs <= 1 || n <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let slots: Vec<std::sync::OnceLock<R>> = (0..n).map(|_| std::sync::OnceLock::new()).collect();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..jobs.min(n) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let _ = slots[i].set(f(i));
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.into_inner().expect("par_build worker filled every slot"))
-        .collect()
 }
 
 /// The §4 baseline workload: Asia-region synthetic trace at [`scale`].
@@ -138,11 +108,6 @@ pub fn baseline_scenario(core: PopGraph) -> Scenario {
         asia_trace(scale()),
         OriginPolicy::PopulationProportional,
     )
-}
-
-/// Runs one design under the baseline config and returns its improvements.
-pub fn improvements(s: &Scenario, design: DesignKind) -> Improvement {
-    s.improvement(ExperimentConfig::baseline(design))
 }
 
 /// Formats a percentage cell.
@@ -197,15 +162,6 @@ mod tests {
         }
         assert_eq!(parse_jobs("1"), Ok(1));
         assert_eq!(parse_jobs(" 8 "), Ok(8));
-    }
-
-    #[test]
-    fn par_build_preserves_index_order_at_any_worker_count() {
-        let expect: Vec<usize> = (0..37).map(|i| i * i).collect();
-        for jobs in [1, 2, 4, 16] {
-            assert_eq!(par_build(37, jobs, |i| i * i), expect, "jobs={jobs}");
-        }
-        assert!(par_build(0, 4, |i| i).is_empty());
     }
 
     #[test]

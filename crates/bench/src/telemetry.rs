@@ -11,11 +11,14 @@
 //!   as JSONL to `PATH`. **Tracing forces sequential sweeps**: a streamed
 //!   JSONL trace is completion-ordered, so `JOBS > 1` is ignored (with a
 //!   stderr warning) while a trace sink is active.
-//! - `--sample N` — keep every `N`th trace record (default 64).
+//! - `--sample N` — keep every `N`th trace record (default 64; a positive
+//!   integer, anything else is an error).
 //! - `--flight PATH` — write the sweep [`FlightRecorder`] JSON (totals plus
 //!   the ring of recent cell completions) to `PATH` at exit. The recorder
 //!   runs regardless; the flag only persists it. A panic mid-sweep dumps
 //!   the same JSON to stderr.
+//!
+//! A value-taking flag given last, with no value after it, is an error.
 //!
 //! Setting the `ICN_PROFILE` environment variable (to anything but `0`,
 //! `false`, or empty) attaches a sampling hot-path [`Profiler`] to every
@@ -53,6 +56,30 @@ pub fn profile_enabled() -> bool {
     }
 }
 
+/// Validates a `--sample` value: a positive integer (keep every Nth
+/// trace record).
+fn parse_sample(s: &str) -> Result<u64, String> {
+    match s.trim().parse::<u64>() {
+        Ok(n) if n >= 1 => Ok(n),
+        _ => Err(format!(
+            "invalid --sample value {s:?}: expected a positive integer \
+             (keep every Nth trace record, default {DEFAULT_TRACE_SAMPLE})"
+        )),
+    }
+}
+
+/// The value following `flag` on the command line, `None` when the flag is
+/// absent; a flag with nothing after it is an error, not an absent flag.
+fn flag_value<'a>(args: &'a [String], flag: &str) -> Result<Option<&'a str>, String> {
+    match args.iter().position(|a| a == flag) {
+        None => Ok(None),
+        Some(i) => match args.get(i + 1) {
+            Some(v) => Ok(Some(v)),
+            None => Err(format!("{flag} needs a value")),
+        },
+    }
+}
+
 /// Telemetry collector for one binary invocation: a metric registry, an
 /// optional JSON snapshot sink, an optional JSONL trace sink, a sweep
 /// flight recorder, and an optional hot-path span profiler.
@@ -72,17 +99,12 @@ impl Telemetry {
     /// docs for the flags). `bin` labels progress output.
     pub fn from_env(bin: &str) -> Self {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        let get = |flag: &str| -> Option<String> {
-            args.iter()
-                .position(|a| a == flag)
-                .and_then(|i| args.get(i + 1))
-                .cloned()
-        };
-        let sample = get("--sample")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(DEFAULT_TRACE_SAMPLE);
+        let get = |flag: &str| flag_value(&args, flag).unwrap_or_else(|e| crate::die(&e));
+        let sample = get("--sample").map_or(DEFAULT_TRACE_SAMPLE, |s| {
+            parse_sample(s).unwrap_or_else(|e| crate::die(&e))
+        });
         let trace = get("--trace").map(|path| {
-            let sink = TraceSink::to_file(&path, sample)
+            let sink = TraceSink::to_file(path, sample)
                 .unwrap_or_else(|e| panic!("cannot open trace file {path}: {e}"));
             eprintln!("[{bin}] tracing every {sample}th request to {path}");
             Arc::new(sink)
@@ -167,23 +189,6 @@ impl Telemetry {
         self.registry.counter("bench.runs").inc();
         self.registry
             .merge_histogram("sim.latency_milli", &run.latency_hist);
-    }
-
-    /// Instrumented [`Scenario::improvement`].
-    pub fn improvement(&self, s: &Scenario, cfg: ExperimentConfig) -> Improvement {
-        self.improvement_detailed(s, cfg).0
-    }
-
-    /// Instrumented [`Scenario::improvement_detailed`].
-    pub fn improvement_detailed(
-        &self,
-        s: &Scenario,
-        cfg: ExperimentConfig,
-    ) -> (Improvement, RunMetrics) {
-        let obs = self.obs(cfg.design.name(), s.trace.len() as u64);
-        let (imp, run) = s.improvement_instrumented(cfg, obs);
-        self.record_run(&run);
-        (imp, run)
     }
 
     /// Runs a batch of sweep cells — in parallel over [`crate::jobs`]
@@ -279,10 +284,10 @@ impl Telemetry {
         results
     }
 
-    /// Batched [`Telemetry::nr_vs_edge_gap`]: one `(scenario, template)`
-    /// pair per output row, expanded to an ICN-NR and an EDGE cell each
-    /// (the template's design field is overwritten, as in the scalar
-    /// form), all run through one [`Telemetry::improvement_batch`].
+    /// Batched, instrumented [`Scenario::nr_vs_edge_gap`]: one `(scenario,
+    /// template)` pair per output row, expanded to an ICN-NR and an EDGE
+    /// cell each (the template's design field is overwritten, as in the
+    /// scalar form), all run through one [`Telemetry::improvement_batch`].
     pub fn nr_vs_edge_gap_batch(
         &self,
         pairs: &[(&Scenario, ExperimentConfig)],
@@ -310,17 +315,6 @@ impl Telemetry {
             .chunks(2)
             .map(|pair| Improvement::gap(&pair[0].0, &pair[1].0))
             .collect()
-    }
-
-    /// Instrumented [`Scenario::nr_vs_edge_gap`].
-    pub fn nr_vs_edge_gap(&self, s: &Scenario, template: &ExperimentConfig) -> Improvement {
-        let mut nr_cfg = template.clone();
-        nr_cfg.design = DesignKind::IcnNr;
-        let mut edge_cfg = template.clone();
-        edge_cfg.design = DesignKind::Edge;
-        let nr = self.improvement(s, nr_cfg);
-        let edge = self.improvement(s, edge_cfg);
-        Improvement::gap(&nr, &edge)
     }
 
     /// A snapshot of everything recorded so far.
@@ -396,7 +390,11 @@ mod tests {
     fn telemetry_collects_runs_and_latency() {
         let t = Telemetry::disabled();
         let s = tiny_scenario();
-        let imp = t.improvement(&s, ExperimentConfig::baseline(DesignKind::Edge));
+        let cell = SweepCell {
+            scenario: &s,
+            cfg: ExperimentConfig::baseline(DesignKind::Edge),
+        };
+        let (imp, _) = t.improvement_batch_jobs(&[cell], 1).remove(0);
         assert!(imp.latency_pct > 0.0);
         let snap = t.snapshot();
         assert_eq!(snap.counters["bench.runs"], 1);
@@ -448,9 +446,31 @@ mod tests {
         let mut small_f = template.clone();
         small_f.f_fraction = 0.01;
         let batch = t.nr_vs_edge_gap_batch(&[(&s, template.clone()), (&s, small_f.clone())]);
-        let t2 = Telemetry::disabled();
-        assert_eq!(batch[0], t2.nr_vs_edge_gap(&s, &template));
-        assert_eq!(batch[1], t2.nr_vs_edge_gap(&s, &small_f));
+        assert_eq!(batch[0], s.nr_vs_edge_gap(&template));
+        assert_eq!(batch[1], s.nr_vs_edge_gap(&small_f));
+    }
+
+    #[test]
+    fn sample_values_are_validated_not_silently_defaulted() {
+        // Regression: `--sample 1O` used to trace every 64th request
+        // without a word.
+        for bad in ["1O", "0", "-4", "2.5", "", "every"] {
+            assert!(
+                parse_sample(bad).is_err(),
+                "--sample {bad:?} must be rejected"
+            );
+        }
+        assert_eq!(parse_sample("1"), Ok(1));
+        assert_eq!(parse_sample(" 100 "), Ok(100));
+    }
+
+    #[test]
+    fn a_flag_given_last_without_its_value_is_an_error() {
+        let args = |s: &str| s.split_whitespace().map(String::from).collect::<Vec<_>>();
+        let a = args("--telemetry t.json --sample");
+        assert_eq!(flag_value(&a, "--telemetry"), Ok(Some("t.json")));
+        assert_eq!(flag_value(&a, "--trace"), Ok(None));
+        assert!(flag_value(&a, "--sample").is_err());
     }
 
     #[test]
@@ -533,8 +553,8 @@ mod tests {
         let t = Telemetry::disabled();
         let s = tiny_scenario();
         let template = ExperimentConfig::baseline(DesignKind::Edge);
-        let ours = t.nr_vs_edge_gap(&s, &template);
-        assert_eq!(ours, s.nr_vs_edge_gap(&template));
+        let ours = t.nr_vs_edge_gap_batch(&[(&s, template.clone())]);
+        assert_eq!(ours, [s.nr_vs_edge_gap(&template)]);
         assert_eq!(t.snapshot().counters["bench.runs"], 2);
     }
 }

@@ -24,8 +24,7 @@
 //! `(cost, NodeId)` tie-break).
 //!
 //! `u128` masks cap the tree at 128 nodes per PoP; the simulator falls
-//! back to the `Vec` directory beyond that (and in reference mode, which
-//! deliberately exercises the legacy structure).
+//! back to the `Vec` directory beyond that.
 
 /// Maximum tree size (nodes per PoP) the mask directory can index.
 pub const MAX_MASK_TREE: u32 = 128;

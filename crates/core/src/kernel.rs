@@ -69,15 +69,6 @@ pub(crate) struct Env<'a> {
     /// equipment far more often than they touch cache contents, and must
     /// answer for routers whose slots another lane owns.
     pub(crate) equipped: Vec<bool>,
-    /// Validation mode (`ICN_SIM_REFERENCE=1`, `ShardOpts::reference`):
-    /// route every path-cost query through [`LatencyModel::path_cost`] and
-    /// every candidate scan through the legacy allocate-and-stable-sort
-    /// implementation, under the *same* `(cost, NodeId)` ordering
-    /// contract. `scripts/check.sh` byte-compares fig6 output with and
-    /// without the flag, proving the flat structures change nothing.
-    ///
-    /// [`LatencyModel::path_cost`]: crate::latency::LatencyModel::path_cost
-    pub(crate) reference: bool,
     /// Cross-PoP snapshot the lane world reads foreign state from,
     /// rewritten between epochs by the shard reconcile. Always empty under
     /// the live world, which has no foreign state.
@@ -93,7 +84,6 @@ impl<'a> Env<'a> {
         cfg: ExperimentConfig,
         origins: &'a [u16],
         sizes: &'a [u32],
-        reference: bool,
     ) -> Self {
         assert_eq!(origins.len(), sizes.len(), "origins/sizes mismatch");
         let spec = cfg.design.spec(net);
@@ -108,7 +98,6 @@ impl<'a> Env<'a> {
             origins,
             sizes,
             equipped,
-            reference,
             frozen: Frozen::default(),
         }
     }
@@ -150,21 +139,9 @@ impl<'a> Env<'a> {
 
     /// The router at climb rank `r` of PoP `p` (inverse of
     /// [`Env::pop_rank`]).
-    #[inline]
+    #[cfg(test)]
     pub(crate) fn node_at(&self, p: u32, r: u32) -> NodeId {
         p * self.net.tree.nodes() + self.costs.t_of_rank(r)
-    }
-
-    /// Path cost between two routers: a [`CostTable`] lookup on the hot
-    /// path, or the full [`LatencyModel`](crate::latency::LatencyModel)
-    /// recomputation in reference mode. The two are bit-identical.
-    #[inline]
-    fn path_cost(&self, a: NodeId, b: NodeId) -> f64 {
-        if self.reference {
-            self.cfg.latency.path_cost(self.net, a, b)
-        } else {
-            self.costs.path_cost(a, b)
-        }
     }
 
     #[inline]
@@ -241,8 +218,8 @@ pub(crate) trait World {
     );
 
     /// Visits every replica of `object` in the directory, in no particular
-    /// order — the reference-mode shape (selection re-derives order from
-    /// `(cost, NodeId)`), and what the directory-invariant test reads.
+    /// order — what the directory-invariant tests read.
+    #[cfg(test)]
     fn for_each_replica(&self, env: &Env, object: u32, f: impl FnMut(NodeId));
 }
 
@@ -460,11 +437,6 @@ pub(crate) struct Kernel<W: World> {
     cand_cost: Vec<f64>,
     /// Candidate node ids, parallel to `cand_cost`.
     cand_node: Vec<NodeId>,
-    /// Tuple-shaped candidate scratch for the reference mode's legacy
-    /// gather-and-stable-sort selection (kept deliberately in the old
-    /// array-of-structs shape), walked in order from `cand_next`.
-    cand_pairs: Vec<(f64, NodeId)>,
-    cand_next: usize,
 }
 
 impl<W: World> Kernel<W> {
@@ -497,8 +469,6 @@ impl<W: World> Kernel<W> {
             siblings_buf: Vec::new(),
             cand_cost: Vec::new(),
             cand_node: Vec::new(),
-            cand_pairs: Vec::new(),
-            cand_next: 0,
         }
     }
 
@@ -738,7 +708,7 @@ impl<W: World> Kernel<W> {
                     // on receipt, discarded, and the walk continues —
                     // at the cost of the wasted fetch.
                     self.discard_corrupt(env, node, object);
-                    penalty += env.path_cost(path[0], node) + 1.0;
+                    penalty += env.costs.path_cost(path[0], node) + 1.0;
                 } else {
                     poisoned = corrupted;
                     server = Some(Server::Cache { node, path_idx: i });
@@ -767,7 +737,7 @@ impl<W: World> Kernel<W> {
                         if self.replica_corrupted(sib, object) {
                             if env.spec.self_certifying {
                                 self.discard_corrupt(env, sib, object);
-                                penalty += env.path_cost(path[0], sib) + 1.0;
+                                penalty += env.costs.path_cost(path[0], sib) + 1.0;
                                 continue; // next sibling may hold a clean copy
                             }
                             poisoned = true;
@@ -863,23 +833,8 @@ impl<W: World> Kernel<W> {
         }
         // Latency: cost of the climbed prefix plus any detour plus the
         // serving hop. The climbed prefix of a shortest path is itself a
-        // shortest path, so its cost is one [`CostTable`] lookup; the
-        // reference mode re-accumulates it hop by hop (bit-identical —
-        // every link cost is an integer-valued f64, see `crate::costs`).
-        let cost = if env.reference {
-            let mut c = 0.0;
-            for j in 1..=serve_idx {
-                let (a, b) = (path[j - 1], path[j]);
-                if env.net.pop_of(a) == env.net.pop_of(b) {
-                    c += env.cfg.latency.tree_link_cost(env.net.level_of(a), depth);
-                } else {
-                    c += env.cfg.latency.core_link_cost(depth);
-                }
-            }
-            c
-        } else {
-            env.costs.path_cost(path[0], path[serve_idx])
-        };
+        // shortest path, so its cost is one [`CostTable`] lookup.
+        let cost = env.costs.path_cost(path[0], path[serve_idx]);
         let latency = cost + detour_cost + 1.0 + penalty;
         self.record_served(latency);
         if poisoned {
@@ -978,7 +933,7 @@ impl<W: World> Kernel<W> {
             }
         }
 
-        let origin_cost = env.path_cost(leaf, origin_root);
+        let origin_cost = env.costs.path_cost(leaf, origin_root);
         // Replica-directory lookup + candidate gathering; the cost-based
         // selection inside nests as a child phase.
         let dir_span = self.obs.as_ref().and_then(|o| o.dir_span(idx));
@@ -993,11 +948,8 @@ impl<W: World> Kernel<W> {
                 &mut penalty,
             )
         } else {
-            // Fault-free paths: the Option-free hot loop. Reference mode
-            // takes the probing selection even without a capacity model
-            // (every probe then succeeds, so the first candidate of the
-            // stable sort — the minimum — wins).
-            let server = if self.capacity.is_some() || env.reference {
+            // Fault-free paths: the Option-free hot loop.
+            let server = if self.capacity.is_some() {
                 self.select_nr_capacity(env, leaf, object, origin_cost, idx)
             } else {
                 let _select_span = self.obs.as_ref().and_then(|o| o.select_span(idx));
@@ -1092,49 +1044,25 @@ impl<W: World> Kernel<W> {
     /// than `max_cost` from `leaf`, for [`Kernel::pop_candidate`] to hand
     /// out in ascending `(cost, NodeId)` order.
     fn gather_candidates(&mut self, env: &Env, leaf: NodeId, object: u32, max_cost: f64) {
-        if env.reference {
-            // Legacy shape: gather tuples with latency-model costs, stable
-            // sort, then walk in order — same `(cost, NodeId)` contract,
-            // same probe sequence as the flat select-min.
-            let pairs = &mut self.cand_pairs;
-            pairs.clear();
-            self.world.for_each_replica(env, object, |n| {
-                if n != leaf {
-                    let c = env.cfg.latency.path_cost(env.net, leaf, n);
-                    if c < max_cost {
-                        pairs.push((c, n));
-                    }
-                }
-            });
-            pairs.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            self.cand_next = 0;
-        } else {
-            self.cand_cost.clear();
-            self.cand_node.clear();
-            self.world.extend_cands(
-                env,
-                object,
-                leaf,
-                max_cost,
-                &mut self.cand_cost,
-                &mut self.cand_node,
-            );
-        }
+        self.cand_cost.clear();
+        self.cand_node.clear();
+        self.world.extend_cands(
+            env,
+            object,
+            leaf,
+            max_cost,
+            &mut self.cand_cost,
+            &mut self.cand_node,
+        );
     }
 
     /// The next gathered candidate in ascending `(cost, NodeId)` order.
-    /// Allocation-free on the flat path: the common case (first candidate
-    /// is eligible) is a single select-min pass with no sort, and a
-    /// rejected minimum is discarded and the rest rescanned.
-    fn pop_candidate(&mut self, env: &Env) -> Option<(f64, NodeId)> {
-        if env.reference {
-            let next = self.cand_pairs.get(self.cand_next).copied();
-            self.cand_next += 1;
-            next
-        } else {
-            let i = min_candidate(&self.cand_cost, &self.cand_node)?;
-            Some((self.cand_cost.swap_remove(i), self.cand_node.swap_remove(i)))
-        }
+    /// Allocation-free: the common case (first candidate is eligible) is
+    /// a single select-min pass with no sort, and a rejected minimum is
+    /// discarded and the rest rescanned.
+    fn pop_candidate(&mut self) -> Option<(f64, NodeId)> {
+        let i = min_candidate(&self.cand_cost, &self.cand_node)?;
+        Some((self.cand_cost.swap_remove(i), self.cand_node.swap_remove(i)))
     }
 
     /// Capacity-limited nearest-replica selection: probe candidates in
@@ -1152,7 +1080,7 @@ impl<W: World> Kernel<W> {
     ) -> Option<(f64, NodeId)> {
         let _select_span = self.obs.as_ref().and_then(|o| o.select_span(idx));
         self.gather_candidates(env, leaf, object, origin_cost);
-        while let Some((cost, node)) = self.pop_candidate(env) {
+        while let Some((cost, node)) = self.pop_candidate() {
             if self.try_capacity(node, idx) {
                 return Some((cost, node));
             }
@@ -1186,7 +1114,7 @@ impl<W: World> Kernel<W> {
         let _select_span = self.obs.as_ref().and_then(|o| o.select_span(idx));
         let origin_reachable = self.path_live(env, leaf, origin_root);
         self.gather_candidates(env, leaf, object, f64::INFINITY);
-        while let Some((cost, node)) = self.pop_candidate(env) {
+        while let Some((cost, node)) = self.pop_candidate() {
             if origin_reachable && cost >= origin_cost {
                 break; // origin is at least as close; prefer it
             }
@@ -1315,7 +1243,7 @@ pub(crate) mod invariant {
     use crate::config::ExperimentConfig;
     use crate::design::DesignKind;
     use crate::fault::{DisasterConfig, FaultConfig};
-    use icn_topology::{pop, AccessTree, Network};
+    use icn_topology::{pop, AccessTree, Network, PopGraph};
     use icn_workload::origin::{assign_origins, OriginPolicy};
     use icn_workload::trace::{Region, Trace};
 
@@ -1340,7 +1268,28 @@ pub(crate) mod invariant {
     /// Abilene with depth-3 binary access trees and a small US trace (the
     /// fixture of `tests/shard_determinism.rs`).
     pub(crate) fn fixture() -> (Network, Trace, Vec<u16>) {
-        let net = Network::new(pop::abilene(), AccessTree::new(2, 3));
+        fixture_on(Network::new(pop::abilene(), AccessTree::new(2, 3)))
+    }
+
+    /// Two PoPs under 255-node access trees — past the
+    /// [`MAX_MASK_TREE`](crate::dir::MAX_MASK_TREE) nodes a rank mask can
+    /// index, so nearest-replica runs take the `Vec` directory.
+    pub(crate) fn wide_tree_net() -> Network {
+        let pair = PopGraph::new(
+            "pair",
+            vec!["A".into(), "B".into()],
+            vec![2_000, 1_000],
+            vec![(0, 1)],
+        );
+        Network::new(pair, AccessTree::new(2, 7))
+    }
+
+    /// [`wide_tree_net`] with the same small US trace as [`fixture`].
+    pub(crate) fn wide_tree_fixture() -> (Network, Trace, Vec<u16>) {
+        fixture_on(wide_tree_net())
+    }
+
+    fn fixture_on(net: Network) -> (Network, Trace, Vec<u16>) {
         let trace = Trace::synthesize(
             Region::Us.config(0.005),
             &net.core.populations,

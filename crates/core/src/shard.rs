@@ -24,11 +24,12 @@
 //!
 //! The **virtual shard is the PoP**, not the worker: lane state and lane
 //! schedules never depend on how lanes are packed onto threads, so the
-//! output is bit-identical for any `CELL_SHARDS` worker count (asserted
-//! by `tests/shard_determinism.rs` and byte-compared by
-//! `scripts/check.sh`). The epoch length *is* semantic — it bounds how
-//! stale the frozen snapshot may get — so `ICN_EPOCH_LEN` is a modeling
-//! knob, while the shard count is pure mechanics.
+//! output is bit-identical for any [`ShardOpts::shards`] worker count
+//! (asserted by `tests/shard_determinism.rs`). The epoch length *is*
+//! semantic — it bounds how stale the frozen snapshot may get — so
+//! [`ShardOpts::epoch_len`] is a modeling knob, while the shard count is
+//! pure mechanics. [`run_sharded`] is the only way in: no environment
+//! variable or sweep path selects this engine.
 //!
 //! Documented deviations from the sequential engine (each deterministic,
 //! each bounded by one epoch): foreign replica sets are one epoch stale;
@@ -41,7 +42,7 @@
 
 use crate::config::ExperimentConfig;
 use crate::design::Routing;
-use crate::dir::{ranks, ReplicaMasks, MAX_MASK_TREE};
+use crate::dir::{ReplicaMasks, MAX_MASK_TREE};
 use crate::instrument::CellClock;
 use crate::kernel::{Env, Kernel, World, RNG_SEED};
 use crate::metrics::RunMetrics;
@@ -67,10 +68,6 @@ pub struct ShardOpts {
     /// Requests per epoch (semantic — see the module docs); clamped to a
     /// minimum of 1.
     pub epoch_len: u64,
-    /// Route cost queries and candidate selection through the reference
-    /// implementations (the `ICN_SIM_REFERENCE=1` mode of
-    /// [`crate::sim::Simulator`]); must be bit-identical to the flat path.
-    pub reference: bool,
 }
 
 impl Default for ShardOpts {
@@ -78,7 +75,6 @@ impl Default for ShardOpts {
         Self {
             shards: 1,
             epoch_len: DEFAULT_EPOCH_LEN,
-            reference: false,
         }
     }
 }
@@ -97,35 +93,19 @@ pub struct ShardRun {
     pub workers: usize,
 }
 
-/// Why the epoch-sharded engine cannot represent this network/design
-/// pair, or `None` when it can: nearest-replica routing needs the `u128`
-/// rank masks (trees up to [`MAX_MASK_TREE`] nodes), and shortest-path
-/// routing with cache-equipped PoP roots needs one residency bit per PoP
-/// (at most 128 PoPs).
-pub(crate) fn unsupported_reason(net: &Network, cfg: &ExperimentConfig) -> Option<String> {
+/// True when the epoch-sharded engine can represent this network/design
+/// pair: nearest-replica routing needs the `u128` rank masks (trees up to
+/// [`MAX_MASK_TREE`] nodes), and shortest-path routing with cache-equipped
+/// PoP roots needs one residency bit per PoP (at most 128 PoPs). Callers
+/// run the sequential simulator otherwise.
+pub fn supported(net: &Network, cfg: &ExperimentConfig) -> bool {
     let spec = cfg.design.spec(net);
     match spec.routing {
-        Routing::NearestReplica if net.tree.nodes() > MAX_MASK_TREE => Some(format!(
-            "{} tree nodes per PoP exceed MAX_MASK_TREE = {MAX_MASK_TREE}",
-            net.tree.nodes()
-        )),
-        Routing::ShortestPathToOrigin
-            if net.pops() > 128 && spec.cache_set.has_cache(net, net.pop_root(0)) =>
-        {
-            Some(format!(
-                "{} PoPs with cache-equipped roots exceed the 128 root-residency bits",
-                net.pops()
-            ))
+        Routing::NearestReplica => net.tree.nodes() <= MAX_MASK_TREE,
+        Routing::ShortestPathToOrigin => {
+            net.pops() <= 128 || !spec.cache_set.has_cache(net, net.pop_root(0))
         }
-        _ => None,
     }
-}
-
-/// True when the epoch-sharded engine can represent this network/design
-/// pair (see [`unsupported_reason`] for the limits). Callers fall back to
-/// the sequential simulator otherwise.
-pub fn supported(net: &Network, cfg: &ExperimentConfig) -> bool {
-    unsupported_reason(net, cfg).is_none()
 }
 
 /// Cross-PoP state as of the last reconcile — everything a lane may
@@ -399,7 +379,9 @@ impl World for LaneWorld {
         }
     }
 
+    #[cfg(test)]
     fn for_each_replica(&self, env: &Env, object: u32, mut f: impl FnMut(NodeId)) {
+        use crate::dir::ranks;
         ranks(self.own_mask(object)).for_each(|r| f(env.node_at(self.pop, r)));
         for (p, mask) in self.foreign_groups(env, object) {
             ranks(mask).for_each(|r| f(env.node_at(p, r)));
@@ -607,7 +589,7 @@ where
         supported(net, cfg),
         "epoch-sharded engine does not support this network/design; gate on shard::supported"
     );
-    let mut env = Env::new(net, cfg.clone(), origins, object_sizes, opts.reference);
+    let mut env = Env::new(net, cfg.clone(), origins, object_sizes);
     let track_roots = env.spec.routing == Routing::ShortestPathToOrigin
         && (0..net.pops()).any(|p| env.equipped[net.pop_root(p) as usize]);
     env.frozen = Frozen {
@@ -689,7 +671,6 @@ mod tests {
         let opts = ShardOpts {
             shards: 2,
             epoch_len: 512,
-            reference: false,
         };
         for design in [DesignKind::IcnNr, DesignKind::IcnSp] {
             for (label, cfg) in invariant::stress_configs(design) {

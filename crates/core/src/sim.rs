@@ -5,7 +5,7 @@
 use crate::config::ExperimentConfig;
 use crate::costs::fold_min;
 use crate::design::DesignSpec;
-use crate::dir::{ranks, ReplicaMasks, MAX_MASK_TREE};
+use crate::dir::{ReplicaMasks, MAX_MASK_TREE};
 use crate::instrument::SimObs;
 use crate::kernel::{Env, Kernel, World, RNG_SEED};
 use crate::metrics::RunMetrics;
@@ -25,9 +25,8 @@ enum Directory {
     /// replica, and insert/evict/flush are branch-free bit updates.
     Masks(ReplicaMasks),
     /// `lists[object]` = holders in *arbitrary* order (selection breaks
-    /// cost ties by `NodeId`, so insertion order never matters). Used in
-    /// reference mode, which deliberately exercises the legacy structure,
-    /// and for trees too large for a `u128` presence mask.
+    /// cost ties by `NodeId`, so insertion order never matters). Used for
+    /// trees too large for a `u128` presence mask.
     Lists(Vec<Vec<NodeId>>),
 }
 
@@ -37,7 +36,7 @@ impl Directory {
         let objects = env.origins.len();
         if !env.tracks_replicas() {
             Directory::Off
-        } else if !env.reference && env.net.tree.nodes() <= MAX_MASK_TREE {
+        } else if env.net.tree.nodes() <= MAX_MASK_TREE {
             Directory::Masks(ReplicaMasks::new(objects))
         } else {
             Directory::Lists(vec![Vec::new(); objects])
@@ -71,7 +70,9 @@ impl Directory {
         }
     }
 
+    #[cfg(test)]
     fn for_each(&self, env: &Env, object: u32, mut f: impl FnMut(NodeId)) {
+        use crate::dir::ranks;
         match self {
             Directory::Off => {}
             Directory::Masks(masks) => {
@@ -197,7 +198,7 @@ impl World for LiveWorld {
         }
     }
 
-    #[inline]
+    #[cfg(test)]
     fn for_each_replica(&self, env: &Env, object: u32, f: impl FnMut(NodeId)) {
         self.dir.for_each(env, object, f);
     }
@@ -219,11 +220,7 @@ impl<'a> Simulator<'a> {
         origins: &'a [u16],
         object_sizes: &'a [u32],
     ) -> Self {
-        // Build-mode switch: selects the slow reference implementation that check.sh
-        // byte-compares against the flat path; within either mode runs are bit-reproducible.
-        // lint:allow(deterministic-core-reach): build-mode switch, not a per-run input
-        let reference = std::env::var_os("ICN_SIM_REFERENCE").is_some_and(|v| v != "0");
-        let env = Env::new(net, cfg, origins, object_sizes, reference);
+        let env = Env::new(net, cfg, origins, object_sizes);
         let budgets = per_node_budgets(
             env.cfg.budget_policy,
             env.cfg.f_fraction,
@@ -243,30 +240,10 @@ impl<'a> Simulator<'a> {
         }
     }
 
-    /// Switches between the flat hot path (default) and the reference
-    /// implementation it must match bit-for-bit; see [`Env::reference`].
-    /// Exposed so determinism tests can flip modes without racing on the
-    /// process-wide `ICN_SIM_REFERENCE` environment variable. Rebuilds the
-    /// replica directory in the representation the new mode uses, so the
-    /// flip is valid even mid-run.
-    pub fn set_reference(&mut self, reference: bool) {
-        if reference == self.env.reference {
-            return;
-        }
-        self.env.reference = reference;
-        let mut dir = Directory::new(&self.env);
-        for o in 0..self.env.origins.len() as u32 {
-            self.kernel
-                .world
-                .for_each_replica(&self.env, o, |n| dir.insert(&self.env, n, o));
-        }
-        self.kernel.world.dir = dir;
-    }
-
     /// The routers currently holding `object` per the nearest-replica
-    /// directory, ascending by `NodeId` — a diagnostics/test view that
-    /// works over either directory representation.
-    pub fn replicas_of(&self, object: u32) -> Vec<NodeId> {
+    /// directory, ascending by `NodeId`.
+    #[cfg(test)]
+    fn replicas_of(&self, object: u32) -> Vec<NodeId> {
         let mut nodes = Vec::new();
         self.kernel
             .world
@@ -515,31 +492,29 @@ mod tests {
     #[test]
     fn selection_is_independent_of_replica_dir_order() {
         // The ordering contract: selection depends on the directory only
-        // as a *set*. In reference mode the directory really is an
-        // order-carrying Vec, so adversarially permuting every entry list
-        // mid-run must not change a single metric bit. (The flat mode's
-        // bitmask directory is canonical by construction and is pinned to
-        // reference mode by `tests/determinism.rs`.)
-        let net = two_pop_net();
+        // as a *set*. On a tree past `MAX_MASK_TREE` the directory really
+        // is an order-carrying Vec, so adversarially permuting every entry
+        // list mid-run must not change a single metric bit. (The bitmask
+        // directory is canonical by construction.)
+        let net = invariant::wide_tree_net();
         let origins = vec![1u16; 8];
         let sizes = vec![1u32; 8];
-        // Interleaved requests from every leaf so objects are cached at
-        // several equal-cost nodes and ties actually occur.
+        // Interleaved requests from neighbouring leaves so objects are
+        // cached at several equal-cost nodes and ties actually occur.
         let reqs: Vec<Request> = (0..64u64)
             .map(|i| req((i % 2) as u16, (i % 4) as u16, (i % 8) as u32))
             .collect();
         let mid = reqs.len() / 2;
         let mut plain = sim_with(&net, DesignKind::IcnNr, &origins, &sizes);
-        plain.set_reference(true);
         plain.run(&reqs);
         let want = plain.metrics().clone();
         for flavor in 0..3u64 {
             let mut sim = sim_with(&net, DesignKind::IcnNr, &origins, &sizes);
-            sim.set_reference(true);
             sim.run(&reqs[..mid]);
             let Directory::Lists(lists) = &mut sim.kernel.world.dir else {
-                panic!("reference mode keeps the Vec directory");
+                panic!("a 255-node tree keeps the Vec directory");
             };
+            assert!(lists.iter().any(|dir| dir.len() > 1), "nothing to permute");
             for (o, dir) in lists.iter_mut().enumerate() {
                 match flavor {
                     0 => dir.reverse(),
@@ -647,13 +622,20 @@ mod tests {
 
     #[test]
     fn live_directory_survives_ttl_crashes_and_corruption() {
-        // Both directory representations (bitmask, and reference mode's
-        // Vec) must stay exact under every way a replica can disappear.
-        let (net, trace, origins) = invariant::fixture();
-        for (label, cfg) in invariant::stress_configs(DesignKind::IcnNr) {
-            for reference in [false, true] {
-                let mut sim = Simulator::new(&net, cfg.clone(), &origins, &trace.object_sizes);
-                sim.set_reference(reference);
+        // Both directory representations — bitmask, and the Vec that trees
+        // past `MAX_MASK_TREE` take — must stay exact under every way a
+        // replica can disappear.
+        for (wide, (net, trace, origins)) in [
+            (false, invariant::fixture()),
+            (true, invariant::wide_tree_fixture()),
+        ] {
+            for (label, cfg) in invariant::stress_configs(DesignKind::IcnNr) {
+                let mut sim = Simulator::new(&net, cfg, &origins, &trace.object_sizes);
+                assert_eq!(
+                    matches!(sim.kernel.world.dir, Directory::Lists(_)),
+                    wide,
+                    "{label}: wrong directory representation"
+                );
                 let m = sim.run(&trace.requests);
                 assert!(m.cache_hits > 0, "{label}: fixture never hit a cache");
                 assert_directory_matches_caches(&sim, origins.len() as u32);
@@ -742,30 +724,6 @@ mod tests {
                 "only the renewed leaf lease survives the stamp-10 drain"
             );
             assert_directory_matches_caches(&sim, 4);
-        }
-
-        #[test]
-        fn reference_mode_is_bit_identical_under_ttl() {
-            // Expiry syncs whichever directory representation is live —
-            // bitmask (flat) or Vec (reference). Both must agree.
-            let net = two_pop_net();
-            let origins = vec![1u16; 8];
-            let sizes = vec![1u32; 8];
-            let reqs: Vec<Request> = (0..300u64)
-                .map(|i| req((i % 2) as u16, (i % 4) as u16, (i * 7 % 8) as u32))
-                .collect();
-            let mut cfg = ExperimentConfig::baseline(DesignKind::IcnNr);
-            cfg.budget_policy = icn_cache::budget::BudgetPolicy::Uniform;
-            cfg.f_fraction = 0.25;
-            cfg.policy = PolicyKind::Ttl { ttl: 17 };
-            let mut flat = Simulator::new(&net, cfg.clone(), &origins, &sizes);
-            let mut reference = Simulator::new(&net, cfg, &origins, &sizes);
-            reference.set_reference(true);
-            let a = flat.run(&reqs).clone();
-            let b = reference.run(&reqs).clone();
-            assert_eq!(a, b);
-            assert_directory_matches_caches(&flat, 8);
-            assert_directory_matches_caches(&reference, 8);
         }
     }
 

@@ -9,22 +9,23 @@
 //! embarrassingly parallel: [`run_cells`] distributes them over scoped
 //! worker threads (each with its own [`Simulator`]) and returns results in
 //! the caller's submission order, so a parallel sweep is bit-identical to
-//! the sequential one. The `deterministic-core` lint rule enforces the
-//! merge discipline in this file: results land in pre-indexed slots, never
-//! in a completion-ordered accumulator.
+//! the sequential one. Every fan-out in the workspace — cells, baseline
+//! pre-warm, scenario construction in the figure binaries — is the one
+//! [`par_map`]. The `deterministic-core` lint rule enforces the merge
+//! discipline in this file: results land in pre-indexed slots, never in a
+//! completion-ordered accumulator.
 
 use crate::config::ExperimentConfig;
 use crate::design::DesignKind;
 use crate::instrument::{peak_rss_kb, CellClock, CellSample, SimObs};
 use crate::latency::LatencyModel;
 use crate::metrics::{Improvement, RunMetrics};
-use crate::shard::{self, ShardOpts};
 use crate::sim::Simulator;
 use icn_topology::{AccessTree, Network, PopGraph};
 use icn_workload::origin::{assign_origins, OriginPolicy};
 use icn_workload::trace::{Trace, TraceConfig};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Once, OnceLock};
+use std::sync::OnceLock;
 
 /// A reusable experiment setting: network + trace + origin map.
 ///
@@ -96,60 +97,25 @@ impl Scenario {
         }
     }
 
-    /// Runs one design with an explicit configuration.
-    ///
-    /// With `CELL_SHARDS` set (and the network/design pair eligible per
-    /// [`shard::supported`]), the run goes through the epoch-sharded
-    /// engine (DESIGN.md §13): `CELL_SHARDS` caps the intra-cell worker
-    /// count (output-invariant — any value produces the same bytes) and
-    /// `ICN_EPOCH_LEN` sets the semantic epoch length. Unset (or `0`),
-    /// the exact sequential simulator runs; it also runs — with one stderr
-    /// line per process saying so — when the pair exceeds a shard-engine
-    /// limit.
+    /// Runs one design with an explicit configuration through the
+    /// sequential [`Simulator`] — always: nothing outside the arguments
+    /// selects an engine or a mode. The epoch-sharded engine is reached
+    /// only by calling [`crate::shard::run_sharded`] directly.
     pub fn run_config(&self, cfg: ExperimentConfig) -> RunMetrics {
-        let shards = cell_shards();
-        if shards > 0 {
-            match shard::unsupported_reason(&self.net, &cfg) {
-                None => {
-                    let opts = ShardOpts {
-                        shards: shard_workers(shards),
-                        epoch_len: epoch_len(),
-                        reference: reference_mode(),
-                    };
-                    return shard::run_sharded(
-                        &self.net,
-                        &cfg,
-                        &self.origins,
-                        &self.trace.object_sizes,
-                        self.trace.requests.iter().copied(),
-                        &opts,
-                    )
-                    .metrics;
-                }
-                // The sequential engine has different (exact) semantics,
-                // so say that the requested engine is not the one running.
-                Some(limit) => {
-                    static WARNED: Once = Once::new();
-                    WARNED.call_once(|| {
-                        eprintln!(
-                            "warning: CELL_SHARDS={shards} ignored for {}: {limit}; running \
-                             the sequential engine (reported once per process)",
-                            cfg.design.name()
-                        );
-                    });
-                }
-            }
-        }
-        let mut sim = Simulator::new(&self.net, cfg, &self.origins, &self.trace.object_sizes);
-        sim.run(&self.trace.requests);
-        sim.metrics().clone()
+        self.run_with(cfg, None)
     }
 
     /// Like [`Scenario::run_config`], with instrumentation attached for
     /// the duration of the run.
     pub fn run_config_instrumented(&self, cfg: ExperimentConfig, obs: SimObs) -> RunMetrics {
+        self.run_with(cfg, Some(obs))
+    }
+
+    fn run_with(&self, cfg: ExperimentConfig, obs: Option<SimObs>) -> RunMetrics {
         let mut sim = Simulator::new(&self.net, cfg, &self.origins, &self.trace.object_sizes);
-        sim.attach_obs(obs);
+        if let Some(obs) = obs {
+            sim.attach_obs(obs);
+        }
         sim.run(&self.trace.requests);
         sim.metrics().clone()
     }
@@ -169,8 +135,9 @@ impl Scenario {
     ///
     /// The no-cache baseline is insensitive to every cache-side knob, so a
     /// single cached baseline serves all configurations of this scenario —
-    /// except the latency model and size weighting, which do change the
-    /// baseline; those are handled by [`Scenario::improvement_with_base`].
+    /// except the latency model, size weighting and an active fault
+    /// schedule, which do change the baseline; such configurations are
+    /// normalized against a no-cache run under the same three settings.
     pub fn improvement(&self, cfg: ExperimentConfig) -> Improvement {
         self.improvement_detailed(cfg).0
     }
@@ -182,26 +149,15 @@ impl Scenario {
         self.improvement_inner(cfg, None)
     }
 
-    /// [`Scenario::improvement_detailed`] with instrumentation attached to
+    /// [`Scenario::improvement_detailed`] with optional instrumentation on
     /// the design run (the normalization baseline runs uninstrumented).
-    pub fn improvement_instrumented(
-        &self,
-        cfg: ExperimentConfig,
-        obs: SimObs,
-    ) -> (Improvement, RunMetrics) {
-        self.improvement_inner(cfg, Some(obs))
-    }
-
     fn improvement_inner(
         &self,
         cfg: ExperimentConfig,
         obs: Option<SimObs>,
     ) -> (Improvement, RunMetrics) {
         let needs_custom_base = !uses_shared_baseline(&cfg);
-        let run = match obs {
-            Some(obs) => self.run_config_instrumented(cfg.clone(), obs),
-            None => self.run_config(cfg.clone()),
-        };
+        let run = self.run_with(cfg.clone(), obs);
         let imp = if needs_custom_base {
             let mut base_cfg = ExperimentConfig::baseline(DesignKind::NoCache);
             base_cfg.latency = cfg.latency;
@@ -216,12 +172,6 @@ impl Scenario {
             Improvement::over_baseline(self.baseline_metrics(), &run)
         };
         (imp, run)
-    }
-
-    /// Improvement against an explicitly provided baseline run.
-    pub fn improvement_with_base(&self, base: &RunMetrics, cfg: ExperimentConfig) -> Improvement {
-        let run = self.run_config(cfg);
-        Improvement::over_baseline(base, &run)
     }
 
     /// The §5 headline number: `RelImprov(ICN-NR) − RelImprov(EDGE)` under
@@ -246,60 +196,6 @@ fn uses_shared_baseline(cfg: &ExperimentConfig) -> bool {
     cfg.latency == LatencyModel::Unit
         && !cfg.weight_by_size
         && cfg.fault.is_none_or(|f| f.is_zero())
-}
-
-/// Worker threads currently claimed by the cell-level fan-out of
-/// [`run_cells_reported`]. Intra-cell sharding divides its own thread
-/// budget by this, so cell × shard parallelism composes without
-/// oversubscribing the machine. Plain relaxed store/load: the value only
-/// sizes thread pools, and worker counts never reach an output byte.
-static ACTIVE_SWEEP_JOBS: AtomicUsize = AtomicUsize::new(1);
-
-/// The `CELL_SHARDS` knob: maximum intra-cell workers for the
-/// epoch-sharded engine; `0`/unset keeps the sequential simulator.
-fn cell_shards() -> usize {
-    static SHARDS: OnceLock<usize> = OnceLock::new();
-    *SHARDS.get_or_init(|| {
-        // Build-mode switch like ICN_SIM_REFERENCE: selects which engine
-        // runs; within either engine, runs are bit-reproducible and
-        // check.sh byte-compares CELL_SHARDS=1 against CELL_SHARDS=4.
-        // lint:allow(deterministic-core-reach): build-mode switch, not a per-run input
-        std::env::var_os("CELL_SHARDS")
-            .and_then(|v| v.into_string().ok())
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or(0)
-    })
-}
-
-/// The `ICN_EPOCH_LEN` knob (default [`shard::DEFAULT_EPOCH_LEN`]).
-/// Semantic — it bounds cross-PoP snapshot staleness — so it is a
-/// modeling parameter, not a tuning one; see DESIGN.md §13.
-fn epoch_len() -> u64 {
-    static LEN: OnceLock<u64> = OnceLock::new();
-    *LEN.get_or_init(|| {
-        // lint:allow(deterministic-core-reach): build-mode switch, not a per-run input
-        std::env::var_os("ICN_EPOCH_LEN")
-            .and_then(|v| v.into_string().ok())
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or(shard::DEFAULT_EPOCH_LEN)
-    })
-}
-
-/// Mirrors the `ICN_SIM_REFERENCE` switch of [`Simulator::new`] for the
-/// epoch engine, so check.sh can cross-compare all four engine × mode
-/// combinations.
-fn reference_mode() -> bool {
-    // lint:allow(deterministic-core-reach): build-mode switch, not a per-run input
-    std::env::var_os("ICN_SIM_REFERENCE").is_some_and(|v| v != "0")
-}
-
-/// Intra-cell worker budget: the user's `CELL_SHARDS` cap, clamped so
-/// that `cell jobs × shard workers` stays within the machine's available
-/// parallelism. Never changes output bytes — only wall-clock.
-fn shard_workers(shards: usize) -> usize {
-    let avail = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let jobs = ACTIVE_SWEEP_JOBS.load(Ordering::Relaxed).max(1);
-    shards.min((avail / jobs).max(1))
 }
 
 /// One unit of parallel sweep work: evaluate `cfg` on `scenario`.
@@ -354,14 +250,12 @@ where
     F: Fn(usize, usize, &SweepCell<'_>) -> Option<SimObs> + Sync,
     D: Fn(CellSample) + Sync,
 {
-    let run_cell = |worker: usize, idx: usize, cell: &SweepCell<'_>| {
+    let run_cell = |worker: usize, idx: usize| {
+        let cell = &cells[idx];
         let clock = CellClock::start();
-        let result = match mk_obs(worker, idx, cell) {
-            Some(obs) => cell
-                .scenario
-                .improvement_instrumented(cell.cfg.clone(), obs),
-            None => cell.scenario.improvement_detailed(cell.cfg.clone()),
-        };
+        let result = cell
+            .scenario
+            .improvement_inner(cell.cfg.clone(), mk_obs(worker, idx, cell));
         on_done(CellSample {
             index: idx,
             requests: result.1.requests,
@@ -370,71 +264,66 @@ where
         });
         result
     };
-    let jobs = jobs.clamp(1, cells.len().max(1));
-    if jobs == 1 {
-        return cells
-            .iter()
-            .enumerate()
-            .map(|(i, c)| run_cell(0, i, c))
-            .collect();
-    }
-    // Publish the fan-out width so intra-cell sharding (`CELL_SHARDS`)
-    // shrinks its own worker budget accordingly for the duration.
-    ACTIVE_SWEEP_JOBS.store(jobs, Ordering::Relaxed);
-
-    // Pre-warm: every distinct scenario that at least one cell normalizes
-    // against the shared baseline gets its no-cache run computed exactly
-    // once, in parallel, *before* the cell fan-out — so no worker stalls
-    // inside another worker's `OnceLock` initialization.
-    let mut warm: Vec<&Scenario> = Vec::new();
-    for c in cells {
-        if uses_shared_baseline(&c.cfg)
-            && c.scenario.baseline.get().is_none()
-            && !warm.iter().any(|s| std::ptr::eq(*s, c.scenario))
-        {
-            warm.push(c.scenario);
-        }
-    }
-    if !warm.is_empty() {
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..jobs.min(warm.len()) {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(s) = warm.get(i) else { break };
-                    let _ = s.baseline_metrics();
-                });
+    if jobs > 1 {
+        // Pre-warm: every distinct scenario that at least one cell
+        // normalizes against the shared baseline gets its no-cache run
+        // computed exactly once, in parallel, *before* the cell fan-out —
+        // so no worker stalls inside another worker's `OnceLock`
+        // initialization.
+        let mut warm: Vec<&Scenario> = Vec::new();
+        for c in cells {
+            if uses_shared_baseline(&c.cfg)
+                && c.scenario.baseline.get().is_none()
+                && !warm.iter().any(|s| std::ptr::eq(*s, c.scenario))
+            {
+                warm.push(c.scenario);
             }
+        }
+        par_map(warm.len(), jobs, |_, i| {
+            warm[i].baseline_metrics();
         });
     }
+    par_map(cells.len(), jobs, run_cell)
+}
 
-    // Fan-out: an atomic index hands cells to whichever worker is free;
-    // each result is written to its own submission-indexed slot, so the
-    // final collection is in the caller's order, never completion order.
-    let slots: Vec<OnceLock<(Improvement, RunMetrics)>> =
-        cells.iter().map(|_| OnceLock::new()).collect();
+/// Deterministic fan-out: computes `f(worker, i)` for every `i` in `0..n`
+/// over at most `jobs` scoped worker threads and returns the results in
+/// index order. An atomic index hands items to whichever worker is free;
+/// each result is written to its own index-addressed slot, so the
+/// collection is in the caller's order, never completion order. `worker`
+/// (`< jobs`) names the claiming thread, for per-worker side state.
+/// `jobs <= 1` (or `n <= 1`) is the plain sequential loop on the calling
+/// thread.
+pub fn par_map<R: Send + Sync>(
+    n: usize,
+    jobs: usize,
+    f: impl Fn(usize, usize) -> R + Sync,
+) -> Vec<R> {
+    if jobs <= 1 || n <= 1 {
+        return (0..n).map(|i| f(0, i)).collect();
+    }
+    let slots: Vec<OnceLock<R>> = (0..n).map(|_| OnceLock::new()).collect();
     let next = AtomicUsize::new(0);
     std::thread::scope(|scope| {
-        for worker in 0..jobs {
-            let slots = &slots;
-            let next = &next;
-            let run_cell = &run_cell;
+        for worker in 0..jobs.min(n) {
+            let (slots, next, f) = (&slots, &next, &f);
             scope.spawn(move || loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(cell) = cells.get(i) else { break };
-                let _ = slots[i].set(run_cell(worker, i, cell));
+                if i >= n {
+                    break;
+                }
+                let _ = slots[i].set(f(worker, i));
             });
         }
     });
-    ACTIVE_SWEEP_JOBS.store(1, Ordering::Relaxed);
     slots
         .into_iter()
         .map(|slot| {
-            // Every index < cells.len() is claimed by exactly one worker,
-            // which fills the slot; a worker panic propagates out of
+            // Every index < n is claimed by exactly one worker, which
+            // fills the slot; a worker panic propagates out of
             // `thread::scope` before this collection runs.
             // lint:allow(no-panic-in-lib): unreachable, see the invariant above
-            slot.into_inner().expect("sweep worker filled every slot")
+            slot.into_inner().expect("par_map worker filled every slot")
         })
         .collect()
 }
@@ -532,7 +421,7 @@ mod tests {
         let registry = icn_obs::Registry::new();
         let cfg = ExperimentConfig::baseline(DesignKind::EdgeCoop);
         let obs = crate::instrument::SimObs::new(&registry, "EDGE-Coop");
-        let (imp_obs, run_obs) = s.improvement_instrumented(cfg.clone(), obs);
+        let (imp_obs, run_obs) = s.improvement_inner(cfg.clone(), Some(obs));
         let (imp, run) = s.improvement_detailed(cfg);
         // Instrumentation must not perturb the simulation.
         assert_eq!(imp_obs, imp);
@@ -551,6 +440,17 @@ mod tests {
         let b = s.baseline_metrics().avg_latency();
         assert_eq!(a, b);
         assert!(a > 1.0);
+    }
+
+    #[test]
+    fn par_map_preserves_index_order_at_any_worker_count() {
+        let expect: Vec<usize> = (0..37).map(|i| i * i).collect();
+        for jobs in [1, 2, 4, 16] {
+            assert_eq!(par_map(37, jobs, |_, i| i * i), expect, "jobs={jobs}");
+            let workers = par_map(37, jobs, |worker, _| worker);
+            assert!(workers.iter().all(|&w| w < jobs), "jobs={jobs}");
+        }
+        assert!(par_map(0, 4, |_, i| i).is_empty());
     }
 
     #[test]

@@ -296,89 +296,6 @@ fn fault_label(m: &RunMetrics) -> &'static str {
 }
 
 #[test]
-fn flat_mode_is_bit_identical_to_reference_mode() {
-    // The flat hot path (CostTable + bitmask directory + select-min) and
-    // the reference implementation (LatencyModel climbs + Vec directory +
-    // stable sort) must agree on every metric bit — fault-free, faulted,
-    // and capacity-limited, across the Figure-6 designs.
-    let net = Network::new(pop::abilene(), AccessTree::new(2, 3));
-    let trace = Trace::synthesize(
-        Region::Us.config(0.005),
-        &net.core.populations,
-        net.leaves_per_pop(),
-    );
-    let origins = assign_origins(
-        OriginPolicy::PopulationProportional,
-        trace.config.objects,
-        &net.core.populations,
-        42,
-    );
-    let mut variants: Vec<ExperimentConfig> = DesignKind::figure6_designs()
-        .iter()
-        .map(|&d| ExperimentConfig::baseline(d))
-        .collect();
-    let mut faulted = ExperimentConfig::baseline(DesignKind::IcnNr);
-    faulted.fault = Some(FaultConfig::uniform(0xfa17, 0.02));
-    variants.push(faulted);
-    let mut capped = ExperimentConfig::baseline(DesignKind::IcnNr);
-    capped.capacity = Some(icn_core::capacity::ServingCapacity {
-        per_node: 3,
-        window: 100,
-    });
-    variants.push(capped);
-    for cfg in variants {
-        let design = cfg.design;
-        let mut flat = Simulator::new(&net, cfg.clone(), &origins, &trace.object_sizes);
-        flat.set_reference(false);
-        let a = flat.run(&trace.requests).clone();
-        let mut reference = Simulator::new(&net, cfg, &origins, &trace.object_sizes);
-        reference.set_reference(true);
-        let b = reference.run(&trace.requests).clone();
-        assert_eq!(
-            a.total_latency.to_bits(),
-            b.total_latency.to_bits(),
-            "{design:?}: flat/reference latency must match bitwise"
-        );
-        assert_eq!(a.latency_hist, b.latency_hist, "{design:?}: histogram");
-        assert_eq!(a, b, "{design:?}: flat/reference RunMetrics");
-    }
-}
-
-#[test]
-fn switching_modes_mid_run_preserves_the_directory() {
-    // `set_reference` converts the replica directory between its bitmask
-    // and Vec representations; flipping in either direction halfway
-    // through a trace must land on the same metrics as never flipping.
-    let net = Network::new(pop::abilene(), AccessTree::new(2, 3));
-    let trace = Trace::synthesize(
-        Region::Us.config(0.005),
-        &net.core.populations,
-        net.leaves_per_pop(),
-    );
-    let origins = assign_origins(
-        OriginPolicy::PopulationProportional,
-        trace.config.objects,
-        &net.core.populations,
-        42,
-    );
-    let cfg = ExperimentConfig::baseline(DesignKind::IcnNr);
-    let mid = trace.requests.len() / 2;
-    let mut straight = Simulator::new(&net, cfg.clone(), &origins, &trace.object_sizes);
-    let want = straight.run(&trace.requests).clone();
-    for start_in_reference in [false, true] {
-        let mut sim = Simulator::new(&net, cfg.clone(), &origins, &trace.object_sizes);
-        sim.set_reference(start_in_reference);
-        sim.run(&trace.requests[..mid]);
-        sim.set_reference(!start_in_reference);
-        let got = sim.run(&trace.requests[mid..]).clone();
-        assert_eq!(
-            want, got,
-            "flip starting from reference={start_in_reference} diverged"
-        );
-    }
-}
-
-#[test]
 fn different_fault_seeds_actually_change_the_run() {
     // Guards the faulted guard: if the simulator ignored the schedule the
     // bit-identity tests above would pass vacuously.

@@ -11,9 +11,9 @@
 //!    provably collapse onto the sequential simulator (a single-PoP
 //!    network, or `epoch_len = 1` without lane-local state deviations),
 //!    the engine must reproduce `Simulator` bit-for-bit.
-//! 3. **Reference-mode equality** — the flat hot path and the reference
-//!    recomputation must agree inside the epoch engine exactly as they
-//!    do in the sequential one.
+//! 3. **Oracle equality** — on a single-PoP network the lane world must
+//!    equal the external oracle (`tests/oracle.rs`, included below as a
+//!    module) directly, not only through the sequential simulator.
 
 use icn_core::capacity::ServingCapacity;
 use icn_core::config::{ExperimentConfig, InsertionPolicy};
@@ -26,6 +26,9 @@ use icn_topology::{pop, AccessTree, Network, PopGraph};
 use icn_workload::origin::{assign_origins, OriginPolicy};
 use icn_workload::trace::{Region, Trace, TraceIter};
 use proptest::prelude::*;
+
+#[path = "oracle.rs"]
+mod oracle;
 
 struct Fixture {
     net: Network,
@@ -136,7 +139,6 @@ fn worker_count_never_changes_a_byte() {
             let opts = |shards| ShardOpts {
                 shards,
                 epoch_len: 512,
-                reference: false,
             };
             let one = f.sharded(&cfg, &opts(1));
             for shards in [2, 4, 64] {
@@ -175,7 +177,6 @@ fn single_pop_epoch_engine_matches_sequential() {
                 &ShardOpts {
                     shards: 1,
                     epoch_len: 97, // many boundaries, none aligned to anything
-                    reference: false,
                 },
             );
             assert_eq!(
@@ -205,7 +206,6 @@ fn epoch_len_one_matches_sequential_multi_pop() {
                 &ShardOpts {
                     shards: 4,
                     epoch_len: 1,
-                    reference: false,
                 },
             );
             assert_eq!(
@@ -234,7 +234,6 @@ fn streamed_requests_match_materialized() {
         let opts = ShardOpts {
             shards: 3,
             epoch_len: 173,
-            reference: false,
         };
         let materialized = f.sharded(&cfg, &opts);
         let streamed = run_sharded(
@@ -254,39 +253,39 @@ fn streamed_requests_match_materialized() {
 }
 
 #[test]
-fn reference_mode_matches_flat_in_epoch_engine() {
-    // Same contract as the sequential simulator's flat/reference
-    // equality, but through the lane pipeline: frozen-mask candidate
-    // expansion + select-min must agree bitwise with the latency-model
-    // recomputation + stable sort.
-    let f = Fixture::abilene();
-    let mut cfgs: Vec<(&'static str, ExperimentConfig)> = vec![
-        ("nr", ExperimentConfig::baseline(DesignKind::IcnNr)),
-        ("sp", ExperimentConfig::baseline(DesignKind::IcnSp)),
-    ];
-    let mut faulted = ExperimentConfig::baseline(DesignKind::IcnNr);
-    faulted.fault = Some(FaultConfig::uniform(0xfa17, 0.02));
-    cfgs.push(("nr+faults", faulted));
-    let mut capped = ExperimentConfig::baseline(DesignKind::IcnNr);
-    capped.capacity = Some(ServingCapacity {
-        per_node: 3,
-        window: 100,
-    });
-    cfgs.push(("nr+capacity", capped));
-    for (label, cfg) in cfgs {
-        let opts = |reference| ShardOpts {
-            shards: 2,
-            epoch_len: 512,
-            reference,
-        };
-        let flat = f.sharded(&cfg, &opts(false));
-        let reference = f.sharded(&cfg, &opts(true));
-        assert_eq!(
-            flat.total_latency.to_bits(),
-            reference.total_latency.to_bits(),
-            "{label}: flat/reference latency bits"
-        );
-        assert_eq!(flat, reference, "{label}: flat/reference RunMetrics");
+fn single_pop_epoch_engine_matches_the_oracle() {
+    // The lane world judged by the same external implementation as the
+    // live world: with one PoP there is no foreign state, so lane-local
+    // directory masks, TTL queue, capacity counters and fault views must
+    // reproduce the naive simulator bit for bit. (The oracle models
+    // neither the disaster layer nor the insertion RNG.)
+    let f = Fixture::single_pop();
+    for design in [DesignKind::IcnNr, DesignKind::IcnSp, DesignKind::EdgeCoop] {
+        for (label, cfg) in variants(design) {
+            if label == "disaster" || label == "probabilistic" {
+                continue;
+            }
+            let want = oracle::run(
+                &f.net,
+                &cfg,
+                &f.origins,
+                &f.trace.object_sizes,
+                &f.trace.requests,
+            );
+            let got = f.sharded(
+                &cfg,
+                &ShardOpts {
+                    shards: 1,
+                    epoch_len: 97,
+                },
+            );
+            assert_eq!(
+                want.total_latency.to_bits(),
+                got.total_latency.to_bits(),
+                "{design:?}/{label}: lane/oracle latency bits"
+            );
+            assert_eq!(want, got, "{design:?}/{label}: lane/oracle RunMetrics");
+        }
     }
 }
 
@@ -304,7 +303,6 @@ fn epoch_count_and_worker_clamp_are_reported() {
         &ShardOpts {
             shards: 1_000,
             epoch_len: 512,
-            reference: false,
         },
     );
     assert_eq!(run.epochs, requests.div_ceil(512));
@@ -372,7 +370,7 @@ proptest! {
         let f = Fixture::abilene();
         let design = DesignKind::figure6_designs()[design_idx];
         let (label, cfg) = variants(design).swap_remove(variant_idx);
-        let opts = |shards| ShardOpts { shards, epoch_len, reference: false };
+        let opts = |shards| ShardOpts { shards, epoch_len };
         let one = f.sharded(&cfg, &opts(1));
         let many = f.sharded(&cfg, &opts(shards));
         prop_assert_eq!(

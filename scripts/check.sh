@@ -21,6 +21,12 @@ echo "=== icn-lint (panic paths, determinism, reach/unsafe/hot-path audits)"
 # analysis ever gets slow, this fails loudly instead of silently taxing
 # every check.sh run (per-rule breakdown: icn-lint --workspace --json).
 cargo run -q -p icn-lint -- --workspace --budget-ms 2000
+# The simulator core reads no environment: engine and mode are properties
+# of the call site (Simulator vs shard::run_sharded), never of a variable.
+if grep -rn "env::var" crates/core/src; then
+    echo "error: crates/core/src must not read the environment" >&2
+    exit 1
+fi
 
 echo "=== sanitizers (advisory; skipped without a nightly toolchain)"
 scripts/sanitize.sh || echo "warning: sanitizer run reported issues (advisory only)" >&2
@@ -38,7 +44,6 @@ echo "=== telemetry smoke (fig6 --telemetry)"
 sidecar="$(mktemp /tmp/fig6-telemetry.XXXXXX.json)"
 out1="$(mktemp /tmp/fig6-jobs1.XXXXXX.txt)"
 out4="$(mktemp /tmp/fig6-jobs4.XXXXXX.txt)"
-outref="$(mktemp /tmp/fig6-reference.XXXXXX.txt)"
 fail1="$(mktemp /tmp/failures-jobs1.XXXXXX.txt)"
 fail4="$(mktemp /tmp/failures-jobs4.XXXXXX.txt)"
 dis1="$(mktemp /tmp/disasters-jobs1.XXXXXX.txt)"
@@ -48,14 +53,8 @@ dyn4="$(mktemp /tmp/dynamics-jobs4.XXXXXX.txt)"
 benchjson="$(mktemp /tmp/bench-sim.XXXXXX.json)"
 benchjson2="$(mktemp /tmp/bench-sim2.XXXXXX.json)"
 outprof="$(mktemp /tmp/fig6-profiled.XXXXXX.txt)"
-shard1="$(mktemp /tmp/fig6-shards1.XXXXXX.txt)"
-shard4="$(mktemp /tmp/fig6-shards4.XXXXXX.txt)"
-shardref="$(mktemp /tmp/fig6-shardsref.XXXXXX.txt)"
 golden="$(mktemp /tmp/fig6-golden.XXXXXX.txt)"
-dsh1="$(mktemp /tmp/disasters-shards1.XXXXXX.txt)"
-dsh4="$(mktemp /tmp/disasters-shards4.XXXXXX.txt)"
-dshref="$(mktemp /tmp/disasters-shardsref.XXXXXX.txt)"
-trap 'rm -f "$sidecar" "$out1" "$out4" "$outref" "$fail1" "$fail4" "$dis1" "$dis4" "$dyn1" "$dyn4" "$benchjson" "$benchjson2" "$outprof" "$shard1" "$shard4" "$shardref" "$golden" "$dsh1" "$dsh4" "$dshref"' EXIT
+trap 'rm -f "$sidecar" "$out1" "$out4" "$fail1" "$fail4" "$dis1" "$dis4" "$dyn1" "$dyn4" "$benchjson" "$benchjson2" "$outprof" "$golden"' EXIT
 SCALE="${SCALE:-0.02}" cargo run --release -p icn-bench --bin fig6 -- \
     --telemetry "$sidecar" >/dev/null
 cargo run --release -p icn-bench --bin telemetry_check -- "$sidecar" >/dev/null
@@ -69,38 +68,15 @@ SCALE="${SCALE:-0.02}" JOBS=4 cargo run --release -p icn-bench --bin fig6 \
 cmp "$out1" "$out4"
 echo "JOBS=1 and JOBS=4 stdout byte-identical"
 
-echo "=== flat-vs-reference cross-check (fig6 with ICN_SIM_REFERENCE=1)"
-# The flat hot path (CostTable, bitmask replica directory, select-min)
-# must reproduce the reference implementation byte-for-byte.
-SCALE="${SCALE:-0.02}" JOBS=1 ICN_SIM_REFERENCE=1 \
-    cargo run --release -p icn-bench --bin fig6 >"$outref" 2>/dev/null
-cmp "$out1" "$outref"
-echo "flat and reference stdout byte-identical"
-
 echo "=== committed-figure cross-check (fig6 at its default SCALE vs results/fig6.txt)"
-# results/fig6.txt was generated before the request kernel was unified,
-# so this pins every later kernel change to bytes it did not produce
-# itself. Regenerate with scripts/run_all_experiments.sh only for a change
+# results/fig6.txt was generated before the request kernel was unified
+# and before the in-engine reference mode was replaced by the external
+# oracle (crates/core/tests/oracle.rs), so this pins every later kernel
+# change to bytes it did not produce itself. Regenerate with scripts/run_all_experiments.sh only for a change
 # that is meant to move the figures.
 env -u SCALE cargo run --release -p icn-bench --bin fig6 >"$golden" 2>/dev/null
 cmp "$golden" results/fig6.txt
 echo "fig6 stdout byte-identical to results/fig6.txt"
-
-echo "=== intra-cell shard determinism (fig6 CELL_SHARDS=1 vs 4, vs reference)"
-# The epoch-sharded engine defines its semantics per-PoP, so the worker
-# count is pure mechanics: CELL_SHARDS=1 and CELL_SHARDS=4 must print the
-# same bytes, and both must match the kernel's reference (non-SoA) mode.
-# Cell-level JOBS composes with intra-cell shards; stacking both must not
-# move a byte either.
-SCALE="${SCALE:-0.02}" JOBS=1 CELL_SHARDS=1 \
-    cargo run --release -p icn-bench --bin fig6 >"$shard1" 2>/dev/null
-SCALE="${SCALE:-0.02}" JOBS=4 CELL_SHARDS=4 \
-    cargo run --release -p icn-bench --bin fig6 >"$shard4" 2>/dev/null
-SCALE="${SCALE:-0.02}" JOBS=1 CELL_SHARDS=4 ICN_SIM_REFERENCE=1 \
-    cargo run --release -p icn-bench --bin fig6 >"$shardref" 2>/dev/null
-cmp "$shard1" "$shard4"
-cmp "$shard1" "$shardref"
-echo "CELL_SHARDS=1 and CELL_SHARDS=4 (with JOBS=4 and reference mode) byte-identical"
 
 echo "=== profiler determinism cross-check (fig6 ICN_PROFILE=1)"
 # Profiling is pure observation: enabling it must not move a single digit
@@ -151,28 +127,6 @@ JOBS=4 cargo run --release -p icn-bench --bin disasters -- --smoke \
     >"$dis4" 2>/dev/null
 cmp "$dis1" "$dis4"
 echo "disaster sweep JOBS=1 and JOBS=4 stdout byte-identical"
-
-echo "=== epoch-engine determinism (disasters --smoke, CELL_SHARDS=1 vs 4, vs reference)"
-# The figure binaries instrument every grid cell, and instrumented cells
-# always take the sequential engine, so the fig6 CELL_SHARDS step above
-# never reaches a lane. The disaster sweep calls Scenario::run_config
-# uninstrumented: this is the byte-compare that runs the request kernel
-# over lane worlds (faults, corruption and cascades included). Epoch
-# semantics differ from sequential ones, so equal bytes would mean the
-# lanes did not run.
-JOBS=1 CELL_SHARDS=1 cargo run --release -p icn-bench --bin disasters -- --smoke \
-    >"$dsh1" 2>/dev/null
-JOBS=4 CELL_SHARDS=4 cargo run --release -p icn-bench --bin disasters -- --smoke \
-    >"$dsh4" 2>/dev/null
-JOBS=1 CELL_SHARDS=4 ICN_SIM_REFERENCE=1 cargo run --release -p icn-bench --bin disasters -- --smoke \
-    >"$dshref" 2>/dev/null
-cmp "$dsh1" "$dsh4"
-cmp "$dsh1" "$dshref"
-if cmp -s "$dis1" "$dsh1"; then
-    echo "error: CELL_SHARDS did not reach the epoch engine" >&2
-    exit 1
-fi
-echo "epoch engine CELL_SHARDS=1 and CELL_SHARDS=4 (with JOBS=4 and reference mode) byte-identical"
 
 echo "=== workload-dynamics smoke (dynamics --smoke, JOBS=1 vs JOBS=4)"
 # Exercises the streaming dynamics (diurnal/flash/churn), the TTL expiry
