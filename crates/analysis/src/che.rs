@@ -7,10 +7,6 @@
 //! resident for a characteristic time `t_C` satisfying
 //! `Σ_i (1 − e^{−p_i t_C}) = C`, and object `i`'s hit probability is
 //! `1 − e^{−p_i t_C}`.
-//!
-//! The integration test `tests/analysis_validation.rs` uses this to
-//! cross-check the simulator's leaf-cache hit rates on IRM workloads —
-//! an analytical sanity net underneath the trace-driven results.
 
 use icn_workload::zipf::Zipf;
 

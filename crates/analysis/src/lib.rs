@@ -12,6 +12,8 @@
 //!   binaries.
 
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 pub mod budget_alloc;
 pub mod che;

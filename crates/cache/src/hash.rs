@@ -18,11 +18,11 @@ pub struct FastHasher {
 pub type FastBuildHasher = BuildHasherDefault<FastHasher>;
 
 /// A `HashMap` keyed with the fast integer hasher.
-// lint:allow(deterministic-core): FastBuildHasher is fixed-seeded, so map behaviour is identical across runs
+#[expect(clippy::disallowed_types, reason = "fixed seed: identical every run")]
 pub type FastMap<K, V> = std::collections::HashMap<K, V, FastBuildHasher>;
 
 /// A `HashSet` keyed with the fast integer hasher.
-// lint:allow(deterministic-core): FastBuildHasher is fixed-seeded, so set behaviour is identical across runs
+#[expect(clippy::disallowed_types, reason = "fixed seed: identical every run")]
 pub type FastSet<K> = std::collections::HashSet<K, FastBuildHasher>;
 
 const K: u64 = 0x9e37_79b9_7f4a_7c15; // 2^64 / golden ratio
@@ -77,6 +77,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_types, reason = "counts buckets; never iterated")]
     fn sequential_keys_spread() {
         // Check that low bits differ for sequential keys (HashMap uses the
         // low bits for bucket selection).

@@ -12,6 +12,8 @@
 //! PoP population, plus the EDGE-Norm normalization constant.
 
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 pub mod budget;
 pub mod fifo;

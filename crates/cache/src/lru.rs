@@ -9,7 +9,7 @@
 
 use crate::hash::FastMap;
 use crate::policy::{CachePolicy, Key};
-// lint:allow(deterministic-core): keyed lookup only — the map is never iterated, so hash order can't leak into results
+#[expect(clippy::disallowed_types, reason = "keyed lookup only; never iterated")]
 use std::collections::HashMap;
 use std::hash::Hash;
 
@@ -26,7 +26,7 @@ struct Slot<K> {
 /// Generic fixed-capacity LRU cache.
 #[derive(Debug, Clone)]
 pub struct Lru<K: Hash + Eq + Copy> {
-    // lint:allow(deterministic-core): keyed lookup only; recency order lives in the intrusive list
+    #[expect(clippy::disallowed_types, reason = "keyed only; recency is the list")]
     map: HashMap<K, u32>,
     slots: Vec<Slot<K>>,
     free: Vec<u32>,
@@ -39,7 +39,7 @@ impl<K: Hash + Eq + Copy> Lru<K> {
     /// Creates an empty cache holding at most `capacity` keys.
     pub fn new(capacity: usize) -> Self {
         Self {
-            // lint:allow(deterministic-core): keyed lookup only; never iterated
+            #[expect(clippy::disallowed_types, reason = "keyed lookup only; never iterated")]
             map: HashMap::new(),
             slots: Vec::new(),
             free: Vec::new(),

@@ -16,6 +16,8 @@
 //! measurable against a request that routes in a few hundred. Counters and
 //! the latency histogram are exact; only durations are sampled.
 
+#![expect(clippy::disallowed_types, reason = "the one home of obs timing types")]
+
 use icn_obs::{Profiler, Registry, TraceRecord, TraceSink};
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -259,6 +261,7 @@ mod real {
 
     impl CellClock {
         /// Starts the clock.
+        #[expect(clippy::disallowed_methods, reason = "see CellClock")]
         pub fn start() -> Self {
             Self(Instant::now())
         }

@@ -38,7 +38,6 @@ use crate::instrument::SimObs;
 use crate::metrics::{RunMetrics, LATENCY_HIST_SCALE};
 use crate::shard::Frozen;
 use icn_cache::CacheSlot;
-// lint:allow(feature-gate-obs): TraceRecord is a plain data type built in every configuration; the `obs` feature gates instrumentation, not types
 use icn_obs::TraceRecord;
 use icn_topology::{Network, NodeId};
 use icn_workload::trace::Request;
@@ -794,7 +793,7 @@ impl<W: World> Kernel<W> {
     /// for a shortest-path serve. `penalty` is extra latency from detected
     /// corrupt fetches discarded before this serve; `poisoned` marks a
     /// serve that delivered corrupted bytes undetected.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "hot path; no per-request struct")]
     fn account_sp(
         &mut self,
         env: &Env,
@@ -1100,7 +1099,7 @@ impl<W: World> Kernel<W> {
     /// exactly to the fault-free paths. `penalty` accumulates the wasted
     /// round-trip latency of replicas whose corruption was caught by
     /// self-certification (the copy is evicted and the scan continues).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "hot path; no per-request struct")]
     fn select_nr_faulted(
         &mut self,
         env: &Env,

@@ -18,6 +18,8 @@
 //! lookup have zero cost" (§3).
 
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 pub mod capacity;
 pub mod config;

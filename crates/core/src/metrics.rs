@@ -9,7 +9,6 @@
 //! Each is reported as the percentage improvement relative to the identical
 //! run with no caches.
 
-// lint:allow(feature-gate-obs): Histogram is a plain data type built in every configuration; the `obs` feature gates instrumentation, not types
 use icn_obs::Histogram;
 use serde::{Deserialize, Serialize};
 

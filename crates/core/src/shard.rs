@@ -50,7 +50,7 @@ use icn_cache::budget::per_node_budgets;
 use icn_cache::CacheSlot;
 use icn_topology::{Network, NodeId};
 use icn_workload::trace::Request;
-// lint:allow(deterministic-core): lane directories are keyed by object id; only value lookups and a commuting retain are used, and every observable order is re-established by sorting `dirty` at resync
+#[expect(clippy::disallowed_types, reason = "keyed; dirty is sorted at resync")]
 use std::collections::HashMap;
 use std::ops::Range;
 
@@ -151,7 +151,7 @@ pub(crate) struct LaneWorld {
     /// climb-rank mask, exactly mirroring `caches` contents. Only value
     /// lookups and a commuting crash-flush retain touch it; publication
     /// order is canonicalized by sorting `dirty` at resync.
-    // lint:allow(deterministic-core): keyed lookups plus a commuting retain; iteration order never reaches metrics (dirty is sorted before resync)
+    #[expect(clippy::disallowed_types, reason = "keyed; dirty is sorted at resync")]
     dir: HashMap<u32, u128>,
     /// Objects whose own-PoP directory entry (or root residency) changed
     /// this epoch; sorted + deduped at resync.
@@ -489,7 +489,7 @@ fn run_epoch(lanes: &mut [Lane], env: &Env, workers: usize) {
         return;
     }
     let target = total.div_ceil(workers);
-    // lint:allow(deterministic-core-reach): scoped fork-join over disjoint lanes against a frozen snapshot; the join is a barrier and no result depends on scheduling, so worker count never reaches an output byte
+    // Scoped fork-join over disjoint lanes: worker count never reaches an output byte.
     std::thread::scope(|s| {
         let mut rest = lanes;
         while !rest.is_empty() {

@@ -294,6 +294,7 @@ where
 /// (`< jobs`) names the claiming thread, for per-worker side state.
 /// `jobs <= 1` (or `n <= 1`) is the plain sequential loop on the calling
 /// thread.
+#[expect(clippy::expect_used, reason = "every slot is filled (see below)")]
 pub fn par_map<R: Send + Sync>(
     n: usize,
     jobs: usize,
@@ -322,7 +323,6 @@ pub fn par_map<R: Send + Sync>(
             // Every index < n is claimed by exactly one worker, which
             // fills the slot; a worker panic propagates out of
             // `thread::scope` before this collection runs.
-            // lint:allow(no-panic-in-lib): unreachable, see the invariant above
             slot.into_inner().expect("par_map worker filled every slot")
         })
         .collect()

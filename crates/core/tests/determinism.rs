@@ -1,5 +1,5 @@
-//! Regression guard for the `deterministic-core` policy (see `icn-lint` and
-//! DESIGN.md): running the identical simulation twice must produce
+//! Regression guard for the deterministic-core policy (core's `clippy.toml`,
+//! DESIGN.md §7): running the identical simulation twice must produce
 //! bit-identical [`RunMetrics`] — every counter, every per-link transfer
 //! count, and the full latency histogram. Any wall-clock read, unseeded
 //! entropy, or `HashMap` iteration leaking into results breaks this test.

@@ -15,6 +15,11 @@
 //! `tests/shard_determinism.rs` includes this file as a module, to judge
 //! the lane world by the same implementation.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the capacity map is keyed lookup only; readable before fast"
+)]
+
 use icn_cache::budget::per_node_budgets;
 use icn_cache::PolicyKind;
 use icn_core::capacity::ServingCapacity;

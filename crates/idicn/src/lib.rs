@@ -43,6 +43,8 @@
 //!   resumption (§6.3).
 
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 pub mod access;
 pub mod adhoc;

@@ -35,6 +35,8 @@
 //! output is deterministic and diffable.
 
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 pub mod flight;
 pub mod hist;

@@ -13,6 +13,8 @@
 //!   enumeration used for congestion accounting.
 
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 pub mod net;
 pub mod pop;

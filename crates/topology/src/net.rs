@@ -257,10 +257,10 @@ impl Network {
 
     /// Link id of the core edge between adjacent PoPs `a` and `b`.
     #[inline]
+    #[expect(clippy::panic, reason = "non-adjacent PoPs are a caller bug")]
     pub fn core_link(&self, a: PopId, b: PopId) -> LinkId {
         match self.core_link_mat[(a * self.pops() + b) as usize] {
             LinkId::MAX => {
-                // lint:allow(no-panic-in-lib): adjacency is validated at construction; non-adjacent args are a caller bug worth failing fast on
                 panic!("PoPs {a} and {b} are not adjacent")
             }
             id => id,

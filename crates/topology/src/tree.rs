@@ -83,8 +83,8 @@ impl AccessTree {
     }
 
     /// Total number of nodes, including the root.
+    #[expect(clippy::expect_used, reason = "shape validated in `new`")]
     pub fn nodes(&self) -> u32 {
-        // lint:allow(no-panic-in-lib): shape validated in `new`; overflow means a struct literal bypassed construction
         self.checked_nodes().expect("validated at construction")
     }
 

@@ -22,6 +22,8 @@
 //! * [`adapter`] — ingestion of external CDN logs (plain CSV) into traces.
 
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 pub mod adapter;
 pub mod dynamics;
