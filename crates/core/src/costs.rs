@@ -21,9 +21,10 @@
 //! randomized topologies (`crates/core/tests/cost_table.rs`).
 //!
 //! **Determinism.** Construction iterates dense index ranges only (tree
-//! indices `0..T`, PoP pairs `0..P×P`); the `deterministic-core` lint
-//! scope for this file additionally bans every map/set/heap structure
-//! whose iteration order could otherwise leak into the table.
+//! indices `0..T`, PoP pairs `0..P×P`). Core's `clippy.toml` bans the
+//! hash maps and sets whose iteration order could leak into the table
+//! (`disallowed-types`), and `tests/cost_table.rs` pins the table bitwise
+//! against the model.
 
 use crate::dir::ranks;
 use crate::latency::LatencyModel;

@@ -291,6 +291,13 @@ mod real {
     /// Stand-in for `icn_obs::ScopedTimer` when spans are compiled out.
     pub struct NoSpan;
 
+    /// Empty, so that the kernel's `drop(span)` calls — which end a real
+    /// span early in the `obs` build — read the same in both builds
+    /// without tripping `clippy::drop_non_drop`.
+    impl Drop for NoSpan {
+        fn drop(&mut self) {}
+    }
+
     impl SimObs {
         /// See the `obs`-enabled variant.
         pub fn new(_registry: &Registry, _design: impl Into<Cow<'static, str>>) -> Self {

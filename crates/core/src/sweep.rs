@@ -10,10 +10,10 @@
 //! worker threads (each with its own [`Simulator`]) and returns results in
 //! the caller's submission order, so a parallel sweep is bit-identical to
 //! the sequential one. Every fan-out in the workspace — cells, baseline
-//! pre-warm, scenario construction in the figure binaries — is the one
-//! [`par_map`]. The `deterministic-core` lint rule enforces the merge
-//! discipline in this file: results land in pre-indexed slots, never in a
-//! completion-ordered accumulator.
+//! pre-warm, scenario construction in the `icn` experiments — is the one
+//! [`par_map`]. Results land in pre-indexed slots, never in a
+//! completion-ordered accumulator; the JOBS=1 vs JOBS=4 `cmp`s in
+//! `scripts/check.sh` and `tests/determinism.rs` fail if they ever do.
 
 use crate::config::ExperimentConfig;
 use crate::design::DesignKind;

@@ -241,7 +241,7 @@ pub struct ProfileSnapshot {
 }
 
 impl ProfileSnapshot {
-    /// The JSON value form (embedded under `"profile"` in BENCH_sim.json).
+    /// The JSON value form (embedded under `"profile"` in a `--telemetry` sidecar).
     pub fn to_value(&self) -> Value {
         let mut phases = BTreeMap::new();
         for (name, p) in &self.phases {
