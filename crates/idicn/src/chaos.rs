@@ -7,7 +7,9 @@
 //! silently corrupted content bytes. The injection schedule is a **pure
 //! function** of `(policy seed, connection index)` — the same SplitMix64
 //! construction the simulator's fault schedule and the retry jitter use —
-//! so a soak run replays the identical fault sequence every time.
+//! so a soak run replays the identical fault sequence every time. Every
+//! answer carries `Connection: close`, so a connection carries exactly one
+//! exchange and the index counts requests too, even for keep-alive clients.
 //!
 //! The point of the exercise (see `tests/chaos_soak.rs`): under thousands
 //! of requests with every fault class firing, the overlay must never hang
@@ -17,12 +19,12 @@
 //! the one fault TCP checksums and retries cannot see — catching it is
 //! exactly what self-certifying names are for.
 
-use crate::http::{self, HttpResponse};
+use crate::http::{self, HttpResponse, HttpServer};
 use crate::retry::mix;
 use crate::Result;
 use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -156,39 +158,6 @@ pub struct ChaosProxy {
     inner: Arc<Inner>,
 }
 
-/// A running chaos proxy; shuts down on drop (same contract as
-/// [`http::HttpServer`]).
-pub struct ChaosServer {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    accept_thread: Option<std::thread::JoinHandle<()>>,
-}
-
-impl ChaosServer {
-    /// The bound loopback address clients should talk to.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Signals shutdown and joins the accept loop.
-    pub fn shutdown(mut self) {
-        self.stop();
-    }
-
-    fn stop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-impl Drop for ChaosServer {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
 impl ChaosProxy {
     /// A chaos layer forwarding to `upstream` under `policy`.
     pub fn new(upstream: SocketAddr, policy: ChaosPolicy) -> Self {
@@ -220,37 +189,14 @@ impl ChaosProxy {
         }
     }
 
-    /// Binds a fresh loopback port and starts interposing. One thread per
-    /// connection, exactly like [`http::serve`] — these are loopback test
-    /// harness services.
-    pub fn serve(&self) -> Result<ChaosServer> {
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let flag = shutdown.clone();
+    /// Binds a fresh loopback port and starts interposing, on the same
+    /// accept loop as [`http::serve`] (and with the same stop contract).
+    pub fn serve(&self) -> Result<HttpServer> {
         let inner = self.inner.clone();
-        let accept_thread = std::thread::spawn(move || {
-            while !flag.load(Ordering::SeqCst) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let inner = inner.clone();
-                        std::thread::spawn(move || handle_connection(&inner, stream));
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        // Same 1 ms accept poll as `http::serve` — chaos
-                        // sits on every soak request's critical path.
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                    Err(_) => break,
-                }
-            }
-        });
-        Ok(ChaosServer {
-            addr,
-            shutdown,
-            accept_thread: Some(accept_thread),
-        })
+        http::serve_streams(
+            TcpListener::bind("127.0.0.1:0")?,
+            Arc::new(move |stream| handle_connection(&inner, stream)),
+        )
     }
 }
 
@@ -293,10 +239,13 @@ fn handle_connection(inner: &Inner, stream: TcpStream) {
         return;
     }
 
-    let resp = match http::request_once(inner.upstream, &req) {
+    let mut resp = match http::request_once(inner.upstream, &req) {
         Ok(r) => r,
         Err(e) => HttpResponse::new(502, e.to_string().into_bytes()),
     };
+    // One exchange per connection, so the fault index is also the request
+    // index: a keep-alive client must not send a second request here.
+    resp.headers.set("Connection", "close");
 
     // Truncation and corruption only make sense on a healthy body; an
     // injection that lands on an empty or non-2xx response degenerates to
@@ -305,21 +254,13 @@ fn handle_connection(inner: &Inner, stream: TcpStream) {
     match action {
         ChaosAction::Truncate if resp.is_success() && resp.body.len() >= 2 => {
             bump(&inner.truncates);
-            let mut head = format!("HTTP/1.1 {} {}\r\n", resp.status, resp.reason);
-            for (n, v) in resp.headers.iter() {
-                if !n.eq_ignore_ascii_case("content-length") {
-                    head.push_str(&format!("{n}: {v}\r\n"));
-                }
-            }
-            head.push_str(&format!("Content-Length: {}\r\n\r\n", resp.body.len()));
-            let _ = writer.write_all(head.as_bytes());
+            let _ = writer.write_all(http::response_head(&resp).as_bytes());
             let _ = writer.write_all(&resp.body[..resp.body.len() / 2]);
             let _ = writer.flush();
             // Drop: the client sees EOF mid-body — a truncated transfer.
         }
         ChaosAction::Corrupt if resp.is_success() && !resp.body.is_empty() => {
             bump(&inner.corruptions);
-            let mut resp = resp;
             let pos = inner.policy.corrupt_position(index, resp.body.len());
             resp.body[pos] ^= 0xa5;
             let _ = http::write_response(&mut writer, &resp);
@@ -394,8 +335,12 @@ mod tests {
         .unwrap();
         let chaos = ChaosProxy::new(upstream.addr(), ChaosPolicy::calm(5));
         let srv = chaos.serve().unwrap();
+        // A keep-alive client, as the edge proxy is: `Connection: close`
+        // still gives every request a connection, and a fault draw, of its
+        // own.
         for path in ["/a", "/b", "/c"] {
-            let resp = http::http_get(srv.addr(), path, &[]).unwrap();
+            let req = crate::http::HttpRequest::get(path);
+            let resp = http::request_pooled(srv.addr(), &req).unwrap();
             assert_eq!(resp.body, format!("echo {path}").into_bytes());
         }
         let stats = chaos.stats();

@@ -28,7 +28,8 @@
 //!   digests, mirrors, publisher key, and signature carried in HTTP headers;
 //! * [`http`] — a minimal blocking HTTP/1.1 implementation (requests,
 //!   responses, Content-Length bodies, Range, keep-alive) plus a tiny
-//!   threaded server harness;
+//!   threaded server harness with one bounded accept loop, and the
+//!   keep-alive pool the components' upstream hops share;
 //! * [`resolver`] — the flat name-resolution service (SFR-like): REGISTER /
 //!   RESOLVE with cryptographic authorization and `P`-level fallback;
 //! * [`origin`] / [`reverse_proxy`] / [`proxy`] — the three HTTP roles of

@@ -430,12 +430,14 @@ impl EdgeProxy {
                 trace.breaker_skips += 1;
                 continue;
             }
+            let mut req = HttpRequest::get(path);
+            req.headers.set(REQUEST_ID_HEADER, request_id);
             let attempt = self.inner.retry.run(|attempt| {
                 if attempt > 0 {
                     self.inner.retries.inc();
                 }
                 trace.attempts += 1;
-                http::http_get(addr, &path, &[(REQUEST_ID_HEADER, request_id)])
+                http::request_pooled(addr, &req)
             });
             match attempt {
                 Ok(resp) if resp.is_success() => {

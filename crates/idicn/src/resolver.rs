@@ -301,7 +301,7 @@ impl ResolverClient {
     /// not retry the latter.
     pub fn register(&self, reg: &Registration) -> Result<()> {
         let req = HttpRequest::post("/register", serialize_registration(reg));
-        let resp = http::request_once(self.addr, &req)?;
+        let resp = http::request_pooled(self.addr, &req)?;
         if resp.status == 201 {
             Ok(())
         } else {
@@ -333,10 +333,11 @@ impl ResolverClient {
         name: &ContentName,
         request_id: Option<&str>,
     ) -> Result<Resolution> {
-        let headers: Vec<(&str, &str)> = request_id
-            .map(|r| vec![(REQUEST_ID_HEADER, r)])
-            .unwrap_or_default();
-        let resp = http::http_get(self.addr, &format!("/resolve/{}", name.to_flat()), &headers)?;
+        let mut req = HttpRequest::get(format!("/resolve/{}", name.to_flat()));
+        if let Some(id) = request_id {
+            req.headers.set(REQUEST_ID_HEADER, id);
+        }
+        let resp = http::request_pooled(self.addr, &req)?;
         match resp.status {
             200 => {
                 let body = String::from_utf8_lossy(&resp.body).to_string();

@@ -154,11 +154,9 @@ impl ReverseProxy {
     }
 
     fn fetch_origin(&self, label: &str, request_id: &str) -> ProxyResult<Vec<u8>> {
-        let resp = http::http_get(
-            self.inner.origin_addr,
-            &format!("/content/{label}"),
-            &[(REQUEST_ID_HEADER, request_id)],
-        )?;
+        let mut req = HttpRequest::get(format!("/content/{label}"));
+        req.headers.set(REQUEST_ID_HEADER, request_id);
+        let resp = http::request_pooled(self.inner.origin_addr, &req)?;
         if !resp.is_success() {
             return Err(ProxyError::NotFound(format!("origin has no {label:?}")));
         }

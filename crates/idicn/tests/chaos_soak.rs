@@ -21,6 +21,7 @@ use idicn::retry::{CircuitBreaker, RetryPolicy};
 use idicn::reverse_proxy::ReverseProxy;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// The publisher identity's RNG seed. Generating the identity twice from
@@ -94,6 +95,21 @@ fn content_for(label: &str, len: usize) -> Vec<u8> {
 
 #[test]
 fn soak_survives_mixed_chaos_and_catches_every_corruption() {
+    soak(1);
+}
+
+/// The same soak — same request total, same fault seed — from 16 clients
+/// at once: the ladder and the corruption invariant must hold under
+/// concurrent load too, not only request after request.
+#[test]
+fn concurrent_soak_survives_mixed_chaos_and_catches_every_corruption() {
+    soak(16);
+}
+
+/// Runs 2 000 fetches through a mixed-chaos world from `clients` concurrent
+/// clients (client `c` sends requests `c`, `c + clients`, ...) and checks
+/// that the overlay absorbed every fault.
+fn soak(clients: u64) {
     // Millisecond-scale deadline so injected stalls resolve fast; this is
     // a dedicated test process, so the global override races nothing.
     http::set_io_timeout(Duration::from_millis(150));
@@ -137,22 +153,34 @@ fn soak_survives_mixed_chaos_and_catches_every_corruption() {
 
     const REQUESTS: u64 = 2_000;
     let started = Instant::now();
-    let mut successes = 0u64;
-    let mut failures = 0u64;
-    for i in 0..REQUESTS {
-        let which = (i % names.len() as u64) as usize;
-        match fetch_verified(proxy_srv.addr(), &names[which]) {
-            Ok((body, metadata, _)) => {
-                // A success must be the authentic bytes — corruption can
-                // fail a request but can never poison one.
-                assert_eq!(body, bodies[which], "request {i}: wrong bytes served");
-                assert_eq!(metadata.name, names[which]);
-                successes += 1;
-            }
-            Err(_) => failures += 1,
+    let (successes, failures) = (AtomicU64::new(0), AtomicU64::new(0));
+    std::thread::scope(|s| {
+        for client in 0..clients {
+            let (names, bodies) = (&names, &bodies);
+            let (successes, failures) = (&successes, &failures);
+            let proxy_addr = proxy_srv.addr();
+            s.spawn(move || {
+                for i in (client..REQUESTS).step_by(clients as usize) {
+                    let which = (i % names.len() as u64) as usize;
+                    match fetch_verified(proxy_addr, &names[which]) {
+                        Ok((body, metadata, _)) => {
+                            // A success must be the authentic bytes —
+                            // corruption can fail a request but can never
+                            // poison one.
+                            assert_eq!(body, bodies[which], "request {i}: wrong bytes served");
+                            assert_eq!(metadata.name, names[which]);
+                            successes.fetch_add(1, Ordering::Relaxed);
+                        }
+                        Err(_) => {
+                            failures.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                }
+            });
         }
-    }
+    });
     let elapsed = started.elapsed();
+    let (successes, failures) = (successes.into_inner(), failures.into_inner());
 
     // No hang: the soak completes in bounded time even with ~1% of
     // connections stalling past the deadline (generous CI allowance).
@@ -165,6 +193,12 @@ fn soak_survives_mixed_chaos_and_catches_every_corruption() {
         successes > REQUESTS * 3 / 4,
         "chaos should dent, not destroy, availability: {successes}/{REQUESTS}"
     );
+
+    // A client gives up after its own deadline while the edge proxy may
+    // still be retrying behind it. Stopping the servers joins every
+    // handler, so the counters below are final.
+    proxy_srv.shutdown();
+    chaos_srv.shutdown();
 
     // Injection counters are consistent: every accepted connection got
     // exactly one decision, and with 2 000+ draws every class fired.

@@ -13,6 +13,16 @@ if [ "$vendor_digest" != 4881e0d639f1f71b9437e004f5b8d5f25310c127a08cd4aa8c64130
     exit 1
 fi
 
+echo "=== idICN: one accept loop, no non-blocking polls"
+# Every idICN server runs http::serve_streams' blocking accept; a second
+# loop or a set_nonblocking poll would bring back per-connection latency.
+accept_sites="$(grep -rnE '\.(incoming|accept)\(\)' crates/idicn/src || true)"
+if [ "$(printf '%s' "$accept_sites" | grep -c .)" -ne 1 ] || grep -rn 'set_nonblocking' crates/idicn/src; then
+    printf 'error: crates/idicn/src needs exactly one accept site and no set_nonblocking:\n%s\n' \
+        "$accept_sites" >&2
+    exit 1
+fi
+
 echo "=== cargo build --release"
 cargo build --release --workspace
 
