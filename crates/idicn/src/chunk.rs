@@ -54,13 +54,17 @@ impl ChunkedDigests {
     }
 
     /// The byte range `[start, end)` of piece `index` within an object of
-    /// `total_len` bytes; `None` when the index is out of range.
+    /// `total_len` bytes; `None` when the index is out of range or the
+    /// piece would start at or past `total_len`, as it does for a hostile
+    /// piece size near `usize::MAX`.
     pub fn piece_range(&self, index: usize, total_len: usize) -> Option<(usize, usize)> {
         if index >= self.pieces.len() {
             return None;
         }
-        let start = index * self.piece_size;
-        Some((start, (start + self.piece_size).min(total_len)))
+        let start = index
+            .checked_mul(self.piece_size)
+            .filter(|&start| start < total_len)?;
+        Some((start, start + self.piece_size.min(total_len - start)))
     }
 }
 
@@ -105,6 +109,33 @@ mod tests {
         assert_eq!(empty.num_pieces(), 0);
         assert!(empty.verify_full(&[]));
         assert!(!empty.verify_piece(0, &[]));
+    }
+
+    #[test]
+    fn piece_range_rejects_hostile_piece_size() {
+        // Two pieces of `usize::MAX` bytes: the second one's start is past
+        // any object, and its end would overflow.
+        let d = ChunkedDigests {
+            full: [0; 32],
+            piece_size: usize::MAX,
+            pieces: vec![[0; 32]; 2],
+        };
+        assert_eq!(d.piece_range(0, 10), Some((0, 10)));
+        assert_eq!(d.piece_range(1, 10), None);
+        assert_eq!(d.piece_range(1, usize::MAX), None);
+        let d = ChunkedDigests {
+            piece_size: usize::MAX / 2 + 1,
+            pieces: vec![[0; 32]; 3],
+            ..d
+        };
+        assert_eq!(
+            d.piece_range(1, usize::MAX),
+            Some((usize::MAX / 2 + 1, usize::MAX))
+        );
+        assert_eq!(d.piece_range(2, usize::MAX), None, "start overflows");
+        // A piece that would start exactly at the end is out of range too.
+        let d = ChunkedDigests::compute(&[1u8; 512], 256);
+        assert_eq!(d.piece_range(1, 256), None);
     }
 
     #[test]

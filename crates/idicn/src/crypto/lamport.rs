@@ -82,14 +82,10 @@ impl PublicKey {
         true
     }
 
-    /// A compact commitment to this public key: SHA-256 over all hashes.
+    /// A compact commitment to this public key: SHA-256 over all hashes,
+    /// in [`PublicKey::to_bytes`] order, hashed in one pass.
     pub fn digest(&self) -> Digest {
-        let mut h = crate::crypto::sha256::Sha256::new();
-        for bit in 0..BITS {
-            h.update(&self.hashes[bit][0]);
-            h.update(&self.hashes[bit][1]);
-        }
-        h.finalize()
+        digest(self.hashes.as_flattened().as_flattened())
     }
 
     /// Serializes to `BITS * 2 * 32` bytes.

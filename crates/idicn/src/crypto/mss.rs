@@ -253,6 +253,16 @@ mod tests {
     }
 
     #[test]
+    fn identity_root_is_stable() {
+        // Pins the root over sixteen one-time keys, so a change to how a
+        // public key is committed to cannot move any principal or name.
+        assert_eq!(
+            crate::crypto::to_hex(&identity(4).root()),
+            "c3829ee35cad5b51161e3fe4bc95c922f328852ecb5ac097d18473f1df3009fa"
+        );
+    }
+
+    #[test]
     fn principal_is_stable() {
         let id1 = identity(1);
         let id2 = identity(1);

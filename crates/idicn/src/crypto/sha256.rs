@@ -2,8 +2,8 @@
 //!
 //! Implemented from the specification; verified against the NIST example
 //! vectors ("abc", the two-block message, the empty string, and a
-//! million-'a' message) and property-tested for incremental/one-shot
-//! equivalence.
+//! million-'a' message), against an independently computed fold over every
+//! message length 0..=300, and tested for incremental/one-shot equivalence.
 
 /// Initial hash values (first 32 bits of the fractional parts of the square
 /// roots of the first 8 primes).
@@ -59,13 +59,12 @@ impl Sha256 {
             self.buf_len += take;
             data = &data[take..];
             if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
+                compress(&mut self.state, &self.buf);
                 self.buf_len = 0;
             }
         }
         while let Some((block, rest)) = data.split_first_chunk::<64>() {
-            self.compress(block);
+            compress(&mut self.state, block);
             data = rest;
         }
         if !data.is_empty() {
@@ -77,65 +76,103 @@ impl Sha256 {
     /// Finishes and returns the digest.
     pub fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 64-bit big-endian length.
-        self.update(&[0x80]);
-        // After the 0x80 byte, total_len changed; capture buf_len now.
-        while self.buf_len != 56 {
-            self.update(&[0]);
+        // Padding in one go: 0x80, zeros, then the 64-bit big-endian bit
+        // length in the last 8 bytes. When fewer than 9 bytes are left
+        // after the tail, the length spills into a second block.
+        let n = self.buf_len;
+        self.buf[n] = 0x80;
+        self.buf[n + 1..].fill(0);
+        if n >= 56 {
+            compress(&mut self.state, &self.buf);
+            self.buf = [0; 64];
         }
-        // Write the length directly into the buffer and compress.
-        self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buf;
-        self.compress(&block);
+        self.buf[56..].copy_from_slice(&bit_len.to_be_bytes());
+        compress(&mut self.state, &self.buf);
         let mut out = [0u8; 32];
-        for (i, w) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&w.to_be_bytes());
+        for (o, w) in out.chunks_exact_mut(4).zip(self.state) {
+            o.copy_from_slice(&w.to_be_bytes());
         }
         out
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for (wi, chunk) in w.iter_mut().zip(block.chunks_exact(4)) {
-            *wi = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+/// Folds one 64-byte block into `state` (FIPS 180-4 §6.2.2).
+///
+/// All 64 rounds are unrolled by `round!`: the eight working variables
+/// rotate by renaming the macro's arguments rather than by moving values,
+/// and the message schedule is a 16-word ring that rounds 16..64 expand in
+/// place as they consume it.
+fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+    let mut w = [0u32; 16];
+    for (wi, chunk) in w.iter_mut().zip(block.chunks_exact(4)) {
+        *wi = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+
+    // The schedule word `W[i]`, three ways. Rounds 0..16 read the block;
+    // later rounds compute `W[i-16] + σ0(W[i-15]) + W[i-7] + σ1(W[i-2])`
+    // from the ring (indices mod 16) and store it over `W[i-16]`, except
+    // that nothing reads `W[62]` and `W[63]` again, so they are not stored.
+    macro_rules! block_word {
+        ($i:expr) => {
+            w[$i]
+        };
+    }
+    macro_rules! final_word {
+        ($i:expr) => {{
+            let (w15, w2) = (w[($i + 1) & 15], w[($i + 14) & 15]);
+            w[$i & 15]
+                .wrapping_add(w15.rotate_right(7) ^ w15.rotate_right(18) ^ (w15 >> 3))
+                .wrapping_add(w[($i + 9) & 15])
+                .wrapping_add(w2.rotate_right(17) ^ w2.rotate_right(19) ^ (w2 >> 10))
+        }};
+    }
+    macro_rules! ring_word {
+        ($i:expr) => {{
+            let next = final_word!($i);
+            w[$i & 15] = next;
+            next
+        }};
+    }
+    macro_rules! round {
+        ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident,
+         $i:expr, $word:ident) => {
+            let t1 = $h
+                .wrapping_add($e.rotate_right(6) ^ $e.rotate_right(11) ^ $e.rotate_right(25))
+                .wrapping_add(($e & $f) ^ (!$e & $g))
+                .wrapping_add(K[$i])
+                .wrapping_add($word!($i));
+            let t2 = ($a.rotate_right(2) ^ $a.rotate_right(13) ^ $a.rotate_right(22))
+                .wrapping_add(($a & $b) ^ ($a & $c) ^ ($b & $c));
+            $d = $d.wrapping_add(t1);
+            $h = t1.wrapping_add(t2);
+        };
+    }
+    // Eight rounds from `$i`, after which every variable is back in its
+    // own role; the last two take their word from `$tail`.
+    macro_rules! eight_rounds {
+        ($i:expr, $word:ident, $tail:ident) => {
+            round!(a, b, c, d, e, f, g, h, $i, $word);
+            round!(h, a, b, c, d, e, f, g, $i + 1, $word);
+            round!(g, h, a, b, c, d, e, f, $i + 2, $word);
+            round!(f, g, h, a, b, c, d, e, $i + 3, $word);
+            round!(e, f, g, h, a, b, c, d, $i + 4, $word);
+            round!(d, e, f, g, h, a, b, c, $i + 5, $word);
+            round!(c, d, e, f, g, h, a, b, $i + 6, $tail);
+            round!(b, c, d, e, f, g, h, a, $i + 7, $tail);
+        };
+    }
+    eight_rounds!(0, block_word, block_word);
+    eight_rounds!(8, block_word, block_word);
+    eight_rounds!(16, ring_word, ring_word);
+    eight_rounds!(24, ring_word, ring_word);
+    eight_rounds!(32, ring_word, ring_word);
+    eight_rounds!(40, ring_word, ring_word);
+    eight_rounds!(48, ring_word, ring_word);
+    eight_rounds!(56, ring_word, final_word);
+
+    for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *s = s.wrapping_add(v);
     }
 }
 
@@ -214,6 +251,23 @@ mod tests {
             h.update(std::slice::from_ref(b));
         }
         assert_eq!(h.finalize(), want);
+    }
+
+    #[test]
+    fn sha256_every_length_fold() {
+        // Every prefix length 0..=300 of a fixed pattern: each padding
+        // boundary (55/56 and 119/120 bytes) with one and with two tail
+        // blocks. The expected fold was computed with Python's hashlib, so
+        // it does not trust this kernel.
+        let data: Vec<u8> = (0..300usize).map(|i| ((i * 31 + 7) % 251) as u8).collect();
+        let mut fold = Sha256::new();
+        for n in 0..=data.len() {
+            fold.update(&digest(&data[..n]));
+        }
+        assert_eq!(
+            to_hex(&fold.finalize()),
+            "3a9fcbf6bfd4421754cdc62d7b0a1a846bcd8fcaae5e64d29ca4bb3a3861610d"
+        );
     }
 
     #[test]

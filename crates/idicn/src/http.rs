@@ -43,7 +43,7 @@ use std::time::Duration;
 
 /// Maximum accepted header section size (64 KiB of lines) — except that
 /// idICN carries Merkle signatures (~25 KiB hex) in headers, so allow 1 MiB.
-const MAX_HEADER_BYTES: usize = 1 << 20;
+pub(crate) const MAX_HEADER_BYTES: usize = 1 << 20;
 /// Maximum accepted body size (64 MiB).
 const MAX_BODY_BYTES: usize = 64 << 20;
 /// Body capacity reserved from `Content-Length` before any byte arrives.

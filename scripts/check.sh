@@ -49,6 +49,9 @@ cargo build --release --workspace --no-default-features
 echo "=== release-profile boundary tests (saturating latency arithmetic)"
 cargo test -q --release -p icn-core --lib latency::
 
+echo "=== release-profile crypto known-answer tests (the unrolled SHA-256 kernel as optimized code)"
+cargo test -q --release -p idicn --lib crypto::
+
 # Every experiment runs through the one `icn` binary (default features).
 icn() { cargo run --release -q -p icn-bench -- "$@"; }
 tmp="$(mktemp -d /tmp/icn-check.XXXXXX)"
