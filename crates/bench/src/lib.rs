@@ -4,7 +4,7 @@
 //! `icn <experiment> [flags]` runs one entry of a table of experiments and
 //! writes its tables to stdout; `icn all` regenerates the paper's 14 committed
 //! `results/<name>.txt` files in one process. Options are parsed once, into
-//! [`RunOpts`], from `SCALE`, `JOBS`, `ICN_PROFILE` and the command line,
+//! [`RunOpts`], from `SCALE`, `JOBS` and the command line,
 //! and printed as a one-line manifest to stderr and into the `--telemetry`
 //! sidecar, never to stdout.
 //!
@@ -271,9 +271,6 @@ pub struct RunOpts {
     pub(crate) jobs: usize,
     /// Cores available to this process.
     pub(crate) cores: usize,
-    /// `ICN_PROFILE` (set, and not `0`/`false`/empty): attach the span
-    /// profiler. Never moves a byte.
-    pub(crate) profile: bool,
     /// `--smoke`: two topologies at 2% trace scale.
     pub(crate) smoke: bool,
     /// The base workload: the Asia trace at `scale`, or `trace_gen`'s
@@ -281,14 +278,12 @@ pub struct RunOpts {
     pub(crate) workload: TraceConfig,
     /// `trace_gen --topology` (default Abilene).
     pub(crate) topology: PopGraph,
-    /// `--telemetry PATH`: the JSON sidecar.
+    /// `--telemetry PATH`: the JSON sidecar, with the span profile.
     pub(crate) telemetry: Option<PathBuf>,
     /// `--trace PATH`: the sampled per-request JSONL trace.
     pub(crate) trace: Option<PathBuf>,
     /// `--sample N`: keep every Nth trace record.
     pub(crate) sample: u64,
-    /// `--flight PATH`: the sweep flight record.
-    pub(crate) flight: Option<PathBuf>,
     /// `telemetry_check`'s sidecar to validate; `None` under
     /// `--live-metrics`.
     pub(crate) sidecar: Option<PathBuf>,
@@ -321,14 +316,13 @@ impl RunOpts {
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         let mut scale = env("SCALE")?.map_or(Ok(0.25), |s| parse_scale(&s))?;
         let jobs = env("JOBS")?.map_or(Ok(cores), |s| parse("JOBS", &s, |n: usize| n >= 1))?;
-        let profile = env("ICN_PROFILE")?.is_some_and(|v| !matches!(v.trim(), "" | "0" | "false"));
 
         let (name, flags) = args.split_first().ok_or_else(usage)?;
         let experiment = EXPERIMENTS
             .iter()
             .find(|e| e.name == name)
             .ok_or_else(|| format!("unknown experiment {name:?}\n{}", usage()))?;
-        let (mut telemetry, mut trace, mut flight, mut sidecar) = (None, None, None, None);
+        let (mut telemetry, mut trace, mut sidecar) = (None, None, None);
         let (mut sample, mut smoke, mut live) = (telemetry::DEFAULT_TRACE_SAMPLE, false, false);
         let (mut region, mut topology) = (Region::Asia, pop::abilene());
         if name == "trace_gen" {
@@ -341,7 +335,6 @@ impl RunOpts {
             match (flag.as_str(), name.as_str()) {
                 ("--telemetry", _) => telemetry = Some(value()?.into()),
                 ("--trace", _) => trace = Some(value()?.into()),
-                ("--flight", _) => flight = Some(value()?.into()),
                 ("--sample", _) => sample = parse(flag, value()?, |n: u64| n >= 1)?,
                 ("--smoke", "disasters" | "dynamics") => (smoke, scale) = (true, 0.02),
                 ("--region", "trace_gen") => region = parse_region(value()?)?,
@@ -375,14 +368,12 @@ impl RunOpts {
             scale,
             jobs,
             cores,
-            profile,
             smoke,
             workload,
             topology,
             telemetry,
             trace,
             sample,
-            flight,
             sidecar,
         })
     }
@@ -390,7 +381,7 @@ impl RunOpts {
     /// The run manifest: what produced this output. Printed to stderr and
     /// written into the `--telemetry` sidecar.
     pub fn manifest(&self) -> Value {
-        let fields: [(&str, Value); 9] = [
+        let fields: [(&str, Value); 8] = [
             ("experiment", self.experiment.name.into()),
             ("version", env!("CARGO_PKG_VERSION").into()),
             ("rustc", env!("ICN_RUSTC").into()),
@@ -398,7 +389,6 @@ impl RunOpts {
             ("cores", (self.cores as u64).into()),
             ("scale", self.scale.into()),
             ("jobs", (self.jobs as u64).into()),
-            ("profile", Value::Bool(self.profile)),
             ("trace_seed", self.workload.seed.into()),
         ];
         Value::Obj(fields.map(|(k, v)| (k.to_string(), v)).into())
@@ -408,7 +398,7 @@ impl RunOpts {
 fn usage() -> String {
     let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
     format!(
-        "usage: icn <{}> [--telemetry PATH] [--trace PATH] [--sample N] [--flight PATH]\n\
+        "usage: icn <{}> [--telemetry PATH] [--trace PATH] [--sample N]\n\
          \x20      icn disasters|dynamics [--smoke]\n\
          \x20      icn trace_gen [--region us|europe|asia] [--scale F] [--topology NAME] \
          [--alpha F] [--skew F] [--seed N] [--irm]\n\
@@ -472,14 +462,10 @@ pub(crate) mod tests {
 
     #[test]
     fn scale_default() {
-        // The empty environment: the paper-fraction default, every core,
-        // no profiler.
+        // The empty environment: the paper-fraction default, every core.
         let opts = parse("fig6").unwrap();
         assert_eq!((opts.scale, opts.workload.requests), (0.25, 450_000));
-        assert_eq!(
-            (opts.jobs, opts.profile, opts.smoke),
-            (opts.cores, false, false)
-        );
+        assert_eq!((opts.jobs, opts.smoke), (opts.cores, false));
         assert_eq!(opts.experiment.name, "fig6");
     }
 
@@ -505,10 +491,6 @@ pub(crate) mod tests {
         }
         let jobs = |s| parse_with(&[("JOBS", s)], "fig6").unwrap().jobs;
         assert_eq!((jobs("1"), jobs(" 8 ")), (1, 8));
-        let opts = parse_with(&[("JOBS", "3"), ("ICN_PROFILE", "1")], "fig6").unwrap();
-        assert_eq!((opts.jobs, opts.profile), (3, true));
-        let unprofiled = parse_with(&[("ICN_PROFILE", "false")], "fig6").unwrap();
-        assert!(!unprofiled.profile);
     }
 
     #[test]
@@ -563,6 +545,7 @@ pub(crate) mod tests {
             "fig8a --smoke",
             "fig6 stray",
             "fig6 --alpha 1",
+            "fig6 --flight x",
             "all --smoke",
             "telemetry_check",
             "telemetry_check t.json --live-metrics",
@@ -589,7 +572,6 @@ pub(crate) mod tests {
         assert_eq!(m.get("experiment").and_then(Value::as_str), Some("fig6"));
         assert_eq!(m.get("scale").and_then(Value::as_f64), Some(0.1));
         assert_eq!(m.get("jobs").and_then(Value::as_u64), Some(2));
-        assert_eq!(m.get("profile"), Some(&Value::Bool(false)));
         assert_eq!(
             m.get("trace_seed").and_then(Value::as_u64),
             Some(opts.workload.seed)

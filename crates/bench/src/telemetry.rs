@@ -1,12 +1,12 @@
 //! Run telemetry shared by every experiment, configured by [`RunOpts`]:
 //! `--telemetry PATH` writes a JSON sidecar (an [`icn_obs::Snapshot`] of
-//! every counter, timer and the merged request-latency histogram, plus the
-//! run manifest under `"manifest"` and, with `ICN_PROFILE`, the span
-//! profile under `"profile"`); `--trace PATH` streams every `--sample`th
-//! request as JSONL, which forces sequential sweeps (a streamed trace is
-//! completion-ordered); `--flight PATH` writes the sweep
-//! [`FlightRecorder`], which always runs and dumps to stderr on a panic.
-//! Neither they nor profiling change a printed figure. With
+//! every counter, the merged request-latency histogram and the span
+//! profile's `<phase>.self`/`<phase>.total` timers, plus the run manifest
+//! under `"manifest"`); `--trace PATH` streams every `--sample`th request
+//! as JSONL, which forces sequential sweeps (a streamed trace is
+//! completion-ordered). Both files are created before anything runs, so an
+//! unwritable path fails at once. Every completed sweep cell prints one
+//! stderr line. None of it changes a printed figure. With
 //! `--no-default-features` the `sim.*` metrics and profiler spans compile
 //! out, but the latency histogram ([`RunMetrics`] carries it) is still
 //! exported.
@@ -14,52 +14,62 @@
 use crate::RunOpts;
 use icn_core::config::ExperimentConfig;
 use icn_core::design::DesignKind;
-use icn_core::instrument::SimObs;
+use icn_core::instrument::{CellSample, SimObs};
 use icn_core::metrics::{Improvement, RunMetrics};
 use icn_core::sweep::{run_cells_reported, Scenario, SweepCell};
-use icn_obs::json::{self, Value};
-use icn_obs::{
-    install_panic_dump, CellEvent, FlightRecorder, Profiler, Registry, Snapshot, TraceSink,
-};
-use std::io;
-use std::path::{Path, PathBuf};
+use icn_obs::json::Value;
+use icn_obs::{Profiler, Registry, Snapshot, TraceSink};
+use std::fs::File;
+use std::io::{self, Write};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Default per-request trace sampling (keep every Nth record).
 pub(crate) const DEFAULT_TRACE_SAMPLE: u64 = 64;
 
 /// Telemetry collector for one `icn` invocation: a metric registry, an
-/// optional JSON sidecar, an optional JSONL trace sink, a sweep flight
-/// recorder, and an optional hot-path span profiler.
+/// optional JSON sidecar (which attaches the hot-path span profiler), and
+/// an optional JSONL trace sink.
 pub struct Telemetry {
+    label: &'static str,
     registry: Registry,
-    out: Option<PathBuf>,
+    out: Option<(PathBuf, File)>,
     trace: Option<Arc<TraceSink>>,
-    flight: Arc<FlightRecorder>,
-    flight_out: Option<PathBuf>,
-    profiler: Option<Profiler>,
+    /// Attach the span profiler: exactly when there is a sidecar for it.
+    profile: bool,
     jobs: usize,
     manifest: Value,
 }
 
 impl Telemetry {
-    /// Builds the collector `opts` asks for (see the module docs).
-    pub fn new(opts: &RunOpts) -> Self {
+    /// Builds the collector `opts` asks for (see the module docs), or says
+    /// which output file cannot be created. Once both files exist, prints
+    /// the run manifest as the first stderr line.
+    pub fn new(opts: &RunOpts) -> Result<Self, String> {
         let label = opts.experiment.name;
-        let trace = opts.trace.as_ref().map(|path| {
-            let path = path.to_string_lossy();
-            let sink = TraceSink::to_file(&path, opts.sample)
-                .unwrap_or_else(|e| panic!("cannot open trace file {path}: {e}"));
-            eprintln!(
-                "[{label}] tracing every {}th request to {path}",
-                opts.sample
-            );
-            Arc::new(sink)
-        });
-        let flight = Arc::new(FlightRecorder::new(label));
-        install_panic_dump(Arc::clone(&flight));
-        if opts.profile {
-            eprintln!("[{label}] ICN_PROFILE set: hot-path span profiler attached");
+        let out = match &opts.telemetry {
+            Some(path) => {
+                let file = File::create(path).map_err(|e| {
+                    format!("cannot create telemetry sidecar {}: {e}", path.display())
+                })?;
+                Some((path.clone(), file))
+            }
+            None => None,
+        };
+        let trace = match &opts.trace {
+            Some(path) => {
+                let sink = TraceSink::to_file(&path.to_string_lossy(), opts.sample)
+                    .map_err(|e| format!("cannot create trace file {}: {e}", path.display()))?;
+                Some(Arc::new(sink))
+            }
+            None => None,
+        };
+        let manifest = opts.manifest();
+        eprintln!("[icn] manifest {}", manifest.to_json());
+        if let Some(path) = &opts.trace {
+            let (every, path) = (opts.sample, path.display());
+            eprintln!("[{label}] tracing every {every}th request to {path}");
         }
         let mut jobs = opts.jobs;
         if trace.is_some() && jobs > 1 {
@@ -71,82 +81,63 @@ impl Telemetry {
             jobs = 1;
         }
         let t = Self {
-            out: opts.telemetry.clone(),
+            label,
+            profile: out.is_some(),
+            out,
             trace,
-            flight,
-            flight_out: opts.flight.clone(),
-            profiler: opts.profile.then(Profiler::new),
             jobs,
-            manifest: opts.manifest(),
+            manifest,
             ..Self::disabled()
         };
         t.registry.counter("bench.runs"); // always present in the snapshot
-        t
+        Ok(t)
     }
 
     /// A sequential collector that persists nothing (tests).
     fn disabled() -> Self {
         Self {
+            label: "test",
             registry: Registry::new(),
             out: None,
             trace: None,
-            flight: Arc::new(FlightRecorder::new("test").silent()),
-            flight_out: None,
-            profiler: None,
+            profile: false,
             jobs: 1,
             manifest: Value::Null,
         }
     }
 
     /// Runs a batch of sweep cells over [`RunOpts::jobs`] workers,
-    /// returning `(Improvement, RunMetrics)` per cell in submission order.
-    /// Output is bit-identical at any worker count: results come from
+    /// returning `(Improvement, RunMetrics)` per cell in submission order,
+    /// and prints one stderr line per completed cell. Output is
+    /// bit-identical at any worker count: results come from
     /// [`run_cells_reported`]'s ordered merge, per-worker registries and
     /// profilers fold into this collector in worker order (their adds and
-    /// merges commute — profile merge is proptest-verified), and per-run
-    /// latency histograms merge in submission order. Only wall-clock timer
-    /// durations vary.
-    ///
-    /// With one worker — forced while a `--trace` sink is active, since a
-    /// streamed trace is completion-ordered — each run also prints its
-    /// progress lines.
+    /// merges commute), and per-run latency histograms merge in submission
+    /// order. Only wall-clock timer durations vary.
     pub fn improvement_batch(&self, cells: &[SweepCell<'_>]) -> Vec<(Improvement, RunMetrics)> {
         let jobs = self.jobs;
         eprintln!("... running {} cells (JOBS={jobs})", cells.len());
-        self.flight.add_planned(cells.len() as u64);
-        let workers: Vec<(Registry, Profiler)> = (0..jobs)
-            .map(|_| (Registry::new(), Profiler::new()))
-            .collect();
+        let workers: Vec<(Registry, Profiler)> = (0..jobs).map(|_| Default::default()).collect();
         let mk_obs = |worker: usize, _, cell: &SweepCell<'_>| {
-            let ((registry, profiler), design) = (&workers[worker], cell.cfg.design.name());
-            let mut obs = SimObs::new(registry, design);
-            if jobs == 1 {
-                obs = obs.with_progress(design, cell.scenario.trace.len() as u64);
-            }
+            let (registry, profiler) = &workers[worker];
+            let mut obs = SimObs::new(registry, cell.cfg.design.name());
             if let Some(sink) = &self.trace {
                 obs = obs.with_trace(Arc::clone(sink));
             }
-            if self.profiler.is_some() {
+            if self.profile {
                 obs = obs.with_profiler(profiler);
             }
             Some(obs)
         };
-        // The flight recorder's ring labels each completed cell, so a
-        // panic dump says which configuration it was.
+        let done = AtomicUsize::new(0);
         let results = run_cells_reported(cells, jobs, mk_obs, |sample| {
-            self.flight.record(CellEvent {
-                index: sample.index,
-                label: cells[sample.index].cfg.design.name().to_string(),
-                requests: sample.requests,
-                wall_ns: sample.wall_ns,
-                peak_rss_kb: sample.peak_rss_kb,
-            })
+            let done = done.fetch_add(1, Ordering::Relaxed) + 1;
+            let design = cells[sample.index].cfg.design.name();
+            eprintln!("{}", self.cell_line(done, cells.len(), design, &sample));
         });
         for (registry, profiler) in &workers {
             self.registry.merge_from(registry);
-            if let Some(p) = &self.profiler {
-                p.merge_from(profiler);
-            }
+            self.registry.merge_from(profiler.registry());
         }
         // Latency in millicost units, see [`icn_core::metrics::LATENCY_HIST_SCALE`].
         for (_, run) in &results {
@@ -155,6 +146,18 @@ impl Telemetry {
                 .merge_histogram("sim.latency_milli", &run.latency_hist);
         }
         results
+    }
+
+    /// The stderr line for the `done`th of `planned` completed cells
+    /// (wall clock and peak RSS read 0 without the `obs` feature).
+    fn cell_line(&self, done: usize, planned: usize, design: &str, sample: &CellSample) -> String {
+        format!(
+            "[{}] cell {done}/{planned} {design}: {} requests, {:.2} s, peak RSS {} MiB",
+            self.label,
+            sample.requests,
+            sample.wall_ns as f64 / 1e9,
+            sample.peak_rss_kb / 1024
+        )
     }
 
     /// Batched, instrumented [`Scenario::nr_vs_edge_gap`]: one `(scenario,
@@ -189,30 +192,16 @@ impl Telemetry {
     }
 
     /// The `--telemetry` sidecar: the snapshot's JSON object plus the run
-    /// manifest and, when profiled, the span profile.
+    /// manifest.
     pub fn sidecar(&self) -> String {
-        let Ok(Value::Obj(mut root)) = json::parse(&self.snapshot().to_json()) else {
-            unreachable!("a snapshot serializes to a JSON object")
-        };
+        let mut root = self.snapshot().to_object();
         root.insert("manifest".to_string(), self.manifest.clone());
-        if let Some(profiler) = &self.profiler {
-            root.insert("profile".to_string(), profiler.snapshot().to_value());
-        }
         Value::Obj(root).to_json()
     }
 
-    /// Flushes the trace sink, prints the profile, and writes the flight
-    /// record and the sidecar (its table to stderr). Call once, last.
+    /// Flushes the trace sink and writes the sidecar (its table to
+    /// stderr). Call once, last.
     pub fn finish(&self) -> io::Result<()> {
-        if self.flight.done() > 0 {
-            self.flight.finish();
-        }
-        if let Some(path) = &self.flight_out {
-            write(path, "flight record", self.flight.to_json())?;
-        }
-        if let Some(profiler) = &self.profiler {
-            eprint!("{}", profiler.snapshot().render_table());
-        }
         if let Some(sink) = &self.trace {
             if let Err(e) = sink.flush() {
                 eprintln!("warning: trace flush failed: {e}");
@@ -220,29 +209,21 @@ impl Telemetry {
             let (written, offered) = (sink.written(), sink.offered());
             eprintln!("trace: {written} records written ({offered} offered)");
         }
-        if let Some(path) = &self.out {
-            write(path, "telemetry snapshot", self.sidecar())?;
+        if let Some((path, mut file)) = self.out.as_ref().map(|(p, f)| (p.display(), f)) {
+            file.write_all(self.sidecar().as_bytes())
+                .map_err(|e| io::Error::new(e.kind(), format!("cannot write {path}: {e}")))?;
+            eprintln!("telemetry snapshot written to {path}");
             eprint!("{}", self.snapshot().render_table());
         }
         Ok(())
     }
 }
 
-/// Writes `what` to `path`, naming both in any error.
-fn write(path: &Path, what: &str, contents: String) -> io::Result<()> {
-    let shown = path.display();
-    let context =
-        |e: io::Error| io::Error::new(e.kind(), format!("cannot write {what} to {shown}: {e}"));
-    std::fs::write(path, contents).map_err(context)?;
-    eprintln!("{what} written to {shown}");
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::tests::parse;
-    use icn_obs::ProfileSnapshot;
+    use icn_obs::json;
     use icn_topology::{pop, AccessTree};
     use icn_workload::origin::OriginPolicy;
     use icn_workload::trace::TraceConfig;
@@ -268,10 +249,9 @@ mod tests {
 
     /// A collector over `jobs` workers, optionally profiling.
     fn telemetry(jobs: usize, profile: bool) -> Telemetry {
-        let profiler = profile.then(Profiler::new);
         Telemetry {
             jobs,
-            profiler,
+            profile,
             ..Telemetry::disabled()
         }
     }
@@ -343,7 +323,7 @@ mod tests {
         let opts = parse("fig6 --telemetry t.json --sample 8").unwrap();
         assert_eq!(opts.telemetry, Some(PathBuf::from("t.json")));
         assert_eq!((opts.trace, opts.sample), (None, 8));
-        for flag in ["--telemetry", "--trace", "--sample", "--flight"] {
+        for flag in ["--telemetry", "--trace", "--sample"] {
             assert!(
                 parse(&format!("fig6 --telemetry t.json {flag}")).is_err(),
                 "{flag}"
@@ -352,42 +332,43 @@ mod tests {
     }
 
     #[test]
-    fn sidecar_carries_the_manifest_and_the_profile() {
-        let t = telemetry(1, true);
-        let root = json::parse(&t.sidecar()).unwrap();
-        assert_eq!(root.get("manifest"), Some(&Value::Null));
-        assert!(ProfileSnapshot::from_value(root.get("profile").unwrap()).is_ok());
-        assert_eq!(Snapshot::from_json(&t.sidecar()).unwrap(), t.snapshot());
-        let plain = json::parse(&Telemetry::disabled().sidecar()).unwrap();
-        assert!(plain.get("profile").is_none());
+    fn unwritable_output_paths_fail_before_the_run() {
+        // A file is not a directory, so neither path can be created.
+        for flag in ["--telemetry", "--trace"] {
+            let opts = parse(&format!("fig6 {flag} Cargo.toml/out")).unwrap();
+            let err = Telemetry::new(&opts).err().expect(flag);
+            assert!(err.contains("Cargo.toml/out"), "{flag}: {err}");
+        }
     }
 
     #[test]
-    fn flight_recorder_sees_every_cell_at_any_worker_count() {
-        let s = tiny_scenario();
-        let cells = fig6_cells(&s);
-        for jobs in [1usize, 4] {
-            let t = telemetry(jobs, false);
-            let results = t.improvement_batch(&cells);
-            assert_eq!(t.flight.done(), cells.len() as u64, "jobs={jobs}");
-            let root = json::parse(&t.flight.to_json()).unwrap();
-            let get = |k: &str| root.get(k).and_then(Value::as_u64);
-            assert_eq!(get("cells_done"), Some(cells.len() as u64));
-            assert_eq!(get("cells_planned"), Some(cells.len() as u64));
-            let total: u64 = results.iter().map(|(_, r)| r.requests).sum();
-            assert_eq!(get("requests"), Some(total));
-            let recent = root.get("recent").and_then(Value::as_arr).unwrap();
-            assert_eq!(recent.len(), cells.len());
-            // Every cell appears with its design label (order may vary
-            // when parallel; the ring holds completion order).
-            for (i, cell) in cells.iter().enumerate() {
-                let seen = recent.iter().any(|e| {
-                    e.get("index").and_then(Value::as_u64) == Some(i as u64)
-                        && e.get("label").and_then(Value::as_str) == Some(cell.cfg.design.name())
-                });
-                assert!(seen, "jobs={jobs}: cell {i} missing from flight ring");
-            }
-        }
+    fn sidecar_carries_the_manifest_and_the_profile() {
+        let (t, s) = (telemetry(1, true), tiny_scenario());
+        t.improvement_batch(&fig6_cells(&s));
+        let root = json::parse(&t.sidecar()).unwrap();
+        assert_eq!(root.get("manifest"), Some(&Value::Null));
+        let snap = Snapshot::from_value(&root).unwrap();
+        assert_eq!(snap, t.snapshot());
+        let profiled = snap.timers.contains_key("sim.request.total");
+        assert_eq!(profiled, cfg!(feature = "obs"));
+        let plain = Telemetry::disabled();
+        plain.improvement_batch(&fig6_cells(&s));
+        assert!(!plain.snapshot().timers.contains_key("sim.request.total"));
+    }
+
+    #[test]
+    fn cell_line_names_the_cell_and_its_cost() {
+        let sample = CellSample {
+            index: 6,
+            requests: 110_000,
+            wall_ns: 410_000_000,
+            peak_rss_kb: 56_320,
+        };
+        let line = Telemetry::disabled().cell_line(7, 40, "ICN-NR", &sample);
+        assert_eq!(
+            line,
+            "[test] cell 7/40 ICN-NR: 110000 requests, 0.41 s, peak RSS 55 MiB"
+        );
     }
 
     #[test]
@@ -398,20 +379,25 @@ mod tests {
             let t = telemetry(jobs, true);
             // The profiling-never-changes-numbers invariant.
             assert_eq!(t.improvement_batch(&fig6_cells(&s)), plain, "jobs={jobs}");
-            let snap = t.profiler.as_ref().unwrap().snapshot();
+            let timers = t.snapshot().timers;
+            let phases: Vec<&str> = (timers.keys())
+                .filter_map(|name| name.strip_suffix(".total"))
+                .collect();
             #[cfg(feature = "obs")]
             {
-                let req = &snap.phases["sim.request"];
-                assert!(req.count > 0, "jobs={jobs}");
+                let total = |phase: &str| timers[&format!("{phase}.total")].sum;
+                assert!(timers["sim.request.total"].count > 0, "jobs={jobs}");
                 // Child phases nest under the request span.
-                let dir = &snap.phases["sim.dir_lookup"];
-                assert!(dir.total_ns.sum <= req.total_ns.sum, "jobs={jobs}");
-                for phase in snap.phases.values() {
-                    assert!(phase.self_ns.sum <= phase.total_ns.sum);
+                for child in ["sim.dir_lookup", "sim.coop_lookup", "sim.transfer"] {
+                    assert!(total(child) <= total("sim.request"), "jobs={jobs}: {child}");
+                }
+                for &phase in &phases {
+                    let self_ns = &timers[&format!("{phase}.self")];
+                    assert!(self_ns.sum <= total(phase), "jobs={jobs}: {phase}");
                 }
             }
             #[cfg(not(feature = "obs"))]
-            assert!(snap.phases.is_empty());
+            assert!(phases.is_empty(), "{phases:?}");
         }
     }
 }

@@ -1,9 +1,11 @@
 //! Optional simulator instrumentation (the `obs` cargo feature).
 //!
 //! [`SimObs`] bundles everything a [`crate::sim::Simulator`] can report
-//! while running: span timers for routing / cooperative lookup / transfer
-//! accounting, request counters, sampled per-request [`TraceRecord`]s, and
-//! throttled progress lines. Attach one with
+//! while running: request counters, sampled per-request [`TraceRecord`]s
+//! and, with a [`Profiler`] attached, sampled spans over the request's
+//! phases (fault schedule, cache probe, cooperative lookup, directory
+//! lookup, cost selection, transfer accounting, eviction/insertion), all
+//! nested under one `sim.request` span. Attach one with
 //! [`crate::sim::Simulator::attach_obs`].
 //!
 //! With the (default) `obs` feature the struct carries live `icn-obs`
@@ -11,7 +13,7 @@
 //! whose methods are inlined away, so call sites in the simulator are
 //! identical in both builds and the uninstrumented binary pays nothing.
 //!
-//! Span timers are themselves sampled (default: every 64th request) —
+//! Spans are sampled (default: every 64th request) —
 //! `Instant::now()` costs tens of nanoseconds, which would otherwise be
 //! measurable against a request that routes in a few hundred. Counters and
 //! the latency histogram are exact; only durations are sampled.
@@ -22,7 +24,7 @@ use icn_obs::{Profiler, Registry, TraceRecord, TraceSink};
 use std::borrow::Cow;
 use std::sync::Arc;
 
-/// How often span timers fire (1 = every request). Durations are sampled
+/// How often spans fire (1 = every request). Durations are sampled
 /// because reading the clock twice per span is the one instrumentation
 /// cost that is not "a few atomics".
 pub const DEFAULT_SPAN_SAMPLE: u64 = 64;
@@ -46,8 +48,7 @@ pub struct CellSample {
 #[cfg(feature = "obs")]
 mod real {
     use super::*;
-    use icn_obs::{Counter, PhaseHandle, Progress, ScopedTimer, SpanGuard, TimerHandle};
-    use std::sync::Mutex;
+    use icn_obs::{Counter, PhaseHandle, SpanGuard};
     use std::time::Instant;
 
     /// Pre-resolved profiler phases for the simulator hot path.
@@ -56,8 +57,10 @@ mod real {
         request: PhaseHandle,
         fault: PhaseHandle,
         probe: PhaseHandle,
+        coop: PhaseHandle,
         dir: PhaseHandle,
         select: PhaseHandle,
+        transfer: PhaseHandle,
         evict: PhaseHandle,
     }
 
@@ -68,12 +71,8 @@ mod real {
         requests: Counter,
         failed: Counter,
         coop_probes: Counter,
-        route: TimerHandle,
-        coop: TimerHandle,
-        transfer: TimerHandle,
         span_every: u64,
         trace: Option<Arc<TraceSink>>,
-        progress: Option<Arc<Mutex<Progress>>>,
         profile: Option<PhaseSpans>,
     }
 
@@ -88,12 +87,8 @@ mod real {
                 requests: registry.counter("sim.requests"),
                 failed: registry.counter("sim.failed_requests"),
                 coop_probes: registry.counter("sim.coop_probes"),
-                route: registry.timer_handle("sim.route"),
-                coop: registry.timer_handle("sim.coop_lookup"),
-                transfer: registry.timer_handle("sim.transfer"),
                 span_every: DEFAULT_SPAN_SAMPLE,
                 trace: None,
-                progress: None,
                 profile: None,
             }
         }
@@ -104,29 +99,22 @@ mod real {
             self
         }
 
-        /// Override the span-timer sampling interval (1 = time everything).
+        /// Override the span sampling interval (1 = time everything).
         pub fn with_span_sampling(mut self, every: u64) -> Self {
             self.span_every = every.max(1);
             self
         }
 
-        /// Also print throttled progress lines (requests/sec + ETA) for a
-        /// run of `total` requests.
-        pub fn with_progress(mut self, label: &str, total: u64) -> Self {
-            self.progress = Some(Arc::new(Mutex::new(Progress::new(label, total))));
-            self
-        }
-
-        /// Also record sampled per-phase spans (directory lookup, cache
-        /// probe, cost selection, eviction, fault schedule) into
-        /// `profiler`, at the same sampling interval as the span timers.
+        /// Also record sampled per-phase spans into `profiler`.
         pub fn with_profiler(mut self, profiler: &Profiler) -> Self {
             self.profile = Some(PhaseSpans {
                 request: profiler.phase("sim.request"),
                 fault: profiler.phase("sim.fault_schedule"),
                 probe: profiler.phase("sim.cache_probe"),
+                coop: profiler.phase("sim.coop_lookup"),
                 dir: profiler.phase("sim.dir_lookup"),
                 select: profiler.phase("sim.cost_select"),
+                transfer: profiler.phase("sim.transfer"),
                 evict: profiler.phase("sim.evict_insert"),
             });
             self
@@ -137,29 +125,12 @@ mod real {
             &self.design
         }
 
-        /// Called once per request by the run loop.
-        #[inline]
-        pub fn on_request(&self, idx: u64) {
-            if let Some(p) = &self.progress {
-                if idx.is_multiple_of(1024) {
-                    if let Ok(mut p) = p.lock() {
-                        p.tick(idx);
-                    }
-                }
-            }
-        }
-
         /// Called when the run loop finishes `total` requests. The
         /// `sim.requests` counter is bumped here in one batched add — the
         /// run loop knows its exact length, so paying an atomic per
         /// request would buy nothing.
         pub fn on_finish(&self, total: u64) {
             self.requests.add(total);
-            if let Some(p) = &self.progress {
-                if let Ok(mut p) = p.lock() {
-                    p.finish(total);
-                }
-            }
         }
 
         /// Called when a request fails under an active fault schedule
@@ -167,28 +138,6 @@ mod real {
         #[inline]
         pub fn on_failed(&self) {
             self.failed.inc();
-        }
-
-        /// A sampled span covering route computation + cache lookups.
-        #[inline]
-        pub fn route_span(&self, idx: u64) -> Option<ScopedTimer> {
-            idx.is_multiple_of(self.span_every)
-                .then(|| self.route.start())
-        }
-
-        /// A sampled span covering one scoped sibling lookup.
-        #[inline]
-        pub fn coop_span(&self, idx: u64) -> Option<ScopedTimer> {
-            self.coop_probes.inc();
-            idx.is_multiple_of(self.span_every)
-                .then(|| self.coop.start())
-        }
-
-        /// A sampled span covering latency/congestion/insertion accounting.
-        #[inline]
-        pub fn transfer_span(&self, idx: u64) -> Option<ScopedTimer> {
-            idx.is_multiple_of(self.span_every)
-                .then(|| self.transfer.start())
         }
 
         /// Offers a trace record; `build` runs only when a sink is attached
@@ -213,41 +162,56 @@ mod real {
                 .and_then(|p| idx.is_multiple_of(self.span_every).then(|| pick(p).span()))
         }
 
-        /// Sampled profiler span covering one whole request (the parent of
-        /// every other phase span).
+        /// Sampled span covering one whole request (the parent of every
+        /// other phase span).
         #[inline]
         pub fn request_span(&self, idx: u64) -> Option<SpanGuard> {
             self.phase_span(idx, |p| &p.request)
         }
 
-        /// Sampled profiler span covering fault-schedule advancement.
+        /// Sampled span covering fault-schedule advancement.
         #[inline]
         pub fn fault_span(&self, idx: u64) -> Option<SpanGuard> {
             self.phase_span(idx, |p| &p.fault)
         }
 
-        /// Sampled profiler span covering cache probes along the path.
+        /// Sampled span covering cache probes along the path.
         #[inline]
         pub fn probe_span(&self, idx: u64) -> Option<SpanGuard> {
             self.phase_span(idx, |p| &p.probe)
         }
 
-        /// Sampled profiler span covering the replica-directory lookup and
+        /// Counts one scoped sibling lookup (exact) and opens its sampled
+        /// span (nested inside [`SimObs::probe_span`]).
+        #[inline]
+        pub fn coop_span(&self, idx: u64) -> Option<SpanGuard> {
+            self.coop_probes.inc();
+            self.phase_span(idx, |p| &p.coop)
+        }
+
+        /// Sampled span covering the replica-directory lookup and
         /// candidate gathering.
         #[inline]
         pub fn dir_span(&self, idx: u64) -> Option<SpanGuard> {
             self.phase_span(idx, |p| &p.dir)
         }
 
-        /// Sampled profiler span covering cost-based replica selection
-        /// (nested inside [`SimObs::dir_span`]).
+        /// Sampled span covering cost-based replica selection (nested
+        /// inside [`SimObs::dir_span`]).
         #[inline]
         pub fn select_span(&self, idx: u64) -> Option<SpanGuard> {
             self.phase_span(idx, |p| &p.select)
         }
 
-        /// Sampled profiler span covering response-path cache insertion
-        /// and eviction.
+        /// Sampled span covering latency/congestion accounting and
+        /// response-path insertion.
+        #[inline]
+        pub fn transfer_span(&self, idx: u64) -> Option<SpanGuard> {
+            self.phase_span(idx, |p| &p.transfer)
+        }
+
+        /// Sampled span covering response-path cache insertion and
+        /// eviction (nested inside [`SimObs::transfer_span`]).
         #[inline]
         pub fn evict_span(&self, idx: u64) -> Option<SpanGuard> {
             self.phase_span(idx, |p| &p.evict)
@@ -288,7 +252,7 @@ mod real {
     #[derive(Clone)]
     pub struct SimObs;
 
-    /// Stand-in for `icn_obs::ScopedTimer` when spans are compiled out.
+    /// Stand-in for `icn_obs::SpanGuard` when spans are compiled out.
     pub struct NoSpan;
 
     /// Empty, so that the kernel's `drop(span)` calls — which end a real
@@ -315,11 +279,6 @@ mod real {
         }
 
         /// See the `obs`-enabled variant.
-        pub fn with_progress(self, _label: &str, _total: u64) -> Self {
-            self
-        }
-
-        /// See the `obs`-enabled variant.
         pub fn with_profiler(self, _profiler: &Profiler) -> Self {
             self
         }
@@ -330,21 +289,11 @@ mod real {
         }
 
         /// See the `obs`-enabled variant.
-        #[inline]
-        pub fn on_request(&self, _idx: u64) {}
-
-        /// See the `obs`-enabled variant.
         pub fn on_finish(&self, _total: u64) {}
 
         /// See the `obs`-enabled variant.
         #[inline]
         pub fn on_failed(&self) {}
-
-        /// See the `obs`-enabled variant.
-        #[inline]
-        pub fn route_span(&self, _idx: u64) -> Option<NoSpan> {
-            None
-        }
 
         /// See the `obs`-enabled variant.
         #[inline]
@@ -431,18 +380,22 @@ mod tests {
 
     #[test]
     fn spans_are_sampled() {
-        let registry = Registry::new();
-        let obs = SimObs::new(&registry, "EDGE").with_span_sampling(10);
+        let (registry, profiler) = (Registry::new(), Profiler::new());
+        let obs = SimObs::new(&registry, "EDGE")
+            .with_span_sampling(10)
+            .with_profiler(&profiler);
         for idx in 0..100 {
-            let _r = obs.route_span(idx);
-            let _t = obs.transfer_span(idx);
-            obs.on_request(idx);
+            drop(obs.coop_span(idx));
+            drop(obs.transfer_span(idx));
         }
         obs.on_finish(100);
         let snap = registry.snapshot();
+        // Counters are exact; only span durations are sampled.
         assert_eq!(snap.counters["sim.requests"], 100);
-        assert_eq!(snap.timers["sim.route"].count, 10);
-        assert_eq!(snap.timers["sim.transfer"].count, 10);
+        assert_eq!(snap.counters["sim.coop_probes"], 100);
+        let timers = profiler.registry().snapshot().timers;
+        assert_eq!(timers["sim.coop_lookup.total"].count, 10);
+        assert_eq!(timers["sim.transfer.self"].count, 10);
     }
 
     #[test]
@@ -458,25 +411,28 @@ mod tests {
                 let _dir = obs.dir_span(idx);
                 drop(obs.select_span(idx));
             }
+            let _transfer = obs.transfer_span(idx);
             drop(obs.evict_span(idx));
         }
-        let snap = profiler.snapshot();
+        let timers = profiler.registry().snapshot().timers;
         for phase in [
             "sim.request",
             "sim.dir_lookup",
             "sim.cost_select",
+            "sim.transfer",
             "sim.evict_insert",
         ] {
-            assert_eq!(snap.phases[phase].count, 10, "{phase}");
+            assert_eq!(timers[&format!("{phase}.total")].count, 10, "{phase}");
         }
         // Without a profiler attached, the same call sites are no-ops.
         let bare = SimObs::new(&registry, "EDGE");
         assert!(bare.request_span(0).is_none());
+        assert!(bare.transfer_span(0).is_none());
         // The request span is the parent: nested phase totals fit inside.
-        let req = &snap.phases["sim.request"];
-        let dir = &snap.phases["sim.dir_lookup"];
-        assert!(dir.total_ns.sum <= req.total_ns.sum);
-        assert!(req.self_ns.sum <= req.total_ns.sum);
+        let total = |phase: &str| timers[&format!("{phase}.total")].sum;
+        assert!(total("sim.dir_lookup") + total("sim.transfer") <= total("sim.request"));
+        assert!(total("sim.evict_insert") <= total("sim.transfer"));
+        assert!(timers["sim.request.self"].sum <= total("sim.request"));
     }
 
     #[test]

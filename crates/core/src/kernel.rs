@@ -418,8 +418,8 @@ pub(crate) struct Kernel<W: World> {
     /// Drives probabilistic insertion decisions.
     rng: StdRng,
     pub(crate) metrics: RunMetrics,
-    /// Optional instrumentation (timers, trace records, progress); a no-op
-    /// shell when the `obs` feature is disabled.
+    /// Optional instrumentation (counters, trace records, profiler
+    /// spans); a no-op shell when the `obs` feature is disabled.
     pub(crate) obs: Option<SimObs>,
     path_buf: Vec<NodeId>,
     nodes_buf: Vec<NodeId>,
@@ -677,7 +677,6 @@ impl<W: World> Kernel<W> {
     /// answers; cache-equipped tree routers optionally do a scoped sibling
     /// lookup on miss.
     fn process_sp(&mut self, env: &Env, idx: u64, leaf: NodeId, object: u32, origin_pop: u32) {
-        let route_span = self.obs.as_ref().and_then(|o| o.route_span(idx));
         let mut path = std::mem::take(&mut self.path_buf);
         env.net.sp_path_nodes_into(leaf, origin_pop, &mut path);
         let last = path.len() - 1;
@@ -757,7 +756,6 @@ impl<W: World> Kernel<W> {
             }
         }
         drop(probe_span);
-        drop(route_span);
 
         // A degraded, saturated origin fails the request like an
         // unreachable one.
@@ -889,7 +887,6 @@ impl<W: World> Kernel<W> {
     /// Nearest-replica routing: serve at the replica (or origin) with the
     /// minimum path cost from the leaf, with zero lookup overhead.
     fn process_nr(&mut self, env: &Env, idx: u64, leaf: NodeId, object: u32, origin_pop: u32) {
-        let route_span = self.obs.as_ref().and_then(|o| o.route_span(idx));
         let origin_root = env.net.pop_root(origin_pop);
 
         // Fast path: the requesting leaf's own cache. The block form keeps
@@ -976,19 +973,16 @@ impl<W: World> Kernel<W> {
             NrChoice::Origin => {
                 // A degraded, saturated origin fails the request.
                 if !self.try_origin(origin_pop, idx) {
-                    drop(route_span);
                     self.record_failed(idx, object);
                     return;
                 }
                 (origin_cost, origin_root, true, false)
             }
             NrChoice::Failed => {
-                drop(route_span);
                 self.record_failed(idx, object);
                 return;
             }
         };
-        drop(route_span);
         // Covers latency/congestion accounting and response-path insertion.
         let _transfer_span = self.obs.as_ref().and_then(|o| o.transfer_span(idx));
 

@@ -275,9 +275,6 @@ impl<'a> Simulator<'a> {
     {
         let mut count = 0u64;
         for req in requests {
-            if let Some(o) = &self.kernel.obs {
-                o.on_request(count);
-            }
             self.kernel.process(&self.env, count, &req);
             count += 1;
         }

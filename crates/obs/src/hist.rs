@@ -95,12 +95,12 @@ impl Histogram {
     }
 
     /// Sum of recorded values (saturating).
-    pub fn sum(&self) -> u64 {
+    pub(crate) fn sum(&self) -> u64 {
         self.sum
     }
 
     /// Smallest recorded value (0 when empty).
-    pub fn min(&self) -> u64 {
+    pub(crate) fn min(&self) -> u64 {
         if self.count == 0 {
             0
         } else {
@@ -109,7 +109,7 @@ impl Histogram {
     }
 
     /// Largest recorded value (0 when empty).
-    pub fn max(&self) -> u64 {
+    pub(crate) fn max(&self) -> u64 {
         self.max
     }
 
@@ -167,7 +167,7 @@ impl Histogram {
     }
 
     /// Non-empty buckets as `(bucket_index, count)` pairs.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+    pub(crate) fn nonzero_buckets(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
         self.counts
             .iter()
             .enumerate()
@@ -177,7 +177,13 @@ impl Histogram {
 
     /// Rebuilds a histogram from sparse parts (inverse of
     /// [`Histogram::nonzero_buckets`] + the scalar accessors).
-    pub fn from_parts(buckets: &[(usize, u64)], count: u64, sum: u64, min: u64, max: u64) -> Self {
+    pub(crate) fn from_parts(
+        buckets: &[(usize, u64)],
+        count: u64,
+        sum: u64,
+        min: u64,
+        max: u64,
+    ) -> Self {
         let len = buckets.iter().map(|&(i, _)| i + 1).max().unwrap_or(0);
         let mut counts = vec![0; len];
         for &(i, c) in buckets {
@@ -233,11 +239,6 @@ impl AtomicHistogram {
         self.sum.fetch_add(v, Ordering::Relaxed);
         self.min.fetch_min(v, Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// Number of recorded values.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
     }
 
     /// Merges a plain histogram in (exact, bucket-wise).

@@ -44,7 +44,7 @@ impl Value {
     }
 
     /// The value as `i64`, if numeric and in range.
-    pub fn as_i64(&self) -> Option<i64> {
+    pub(crate) fn as_i64(&self) -> Option<i64> {
         match *self {
             Value::Int(i) => Some(i),
             Value::UInt(u) if u <= i64::MAX as u64 => Some(u as i64),
@@ -178,7 +178,7 @@ impl From<String> for Value {
 }
 
 /// Escapes and writes a JSON string literal.
-pub fn write_escaped(s: &str, out: &mut String) {
+fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {

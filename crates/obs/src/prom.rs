@@ -8,7 +8,8 @@
 //! the caller's label set (e.g. `component="edge_proxy"`), so one scraper
 //! can tell the pipeline stages apart.
 
-use crate::snapshot::{summary_bucket_bounds, HistSummary, Snapshot};
+use crate::hist::bucket_bounds;
+use crate::snapshot::{HistSummary, Snapshot};
 use std::fmt::Write as _;
 
 /// Content-Type value for the rendered exposition.
@@ -60,7 +61,7 @@ fn write_histogram(out: &mut String, name: &str, labels: &[(&str, &str)], s: &Hi
     let mut cumulative = 0u64;
     for &(idx, count) in &s.buckets {
         cumulative += count;
-        let (_, upper) = summary_bucket_bounds(idx);
+        let (_, upper) = bucket_bounds(idx);
         let le = format!("{upper}");
         let _ = writeln!(
             out,
@@ -120,7 +121,9 @@ mod tests {
     fn renders_counters_and_gauges_with_labels() {
         let r = Registry::new();
         r.counter("proxy.hits").add(7);
-        r.gauge("proxy.in_flight").set(-2);
+        let in_flight = r.gauge("proxy.in_flight");
+        in_flight.dec();
+        in_flight.dec();
         let text = render_prometheus(&r.snapshot(), &[("component", "edge_proxy")]);
         assert!(text.contains("# TYPE proxy_hits counter"), "{text}");
         assert!(
@@ -137,10 +140,11 @@ mod tests {
     #[test]
     fn histogram_buckets_are_cumulative_and_ordered() {
         let r = Registry::new();
-        let h = r.histogram("lat");
+        let mut h = crate::Histogram::new();
         for v in [1u64, 1, 5, 100, 10_000] {
             h.record(v);
         }
+        r.merge_histogram("lat", &h);
         let text = render_prometheus(&r.snapshot(), &[]);
         assert!(text.contains("# TYPE lat histogram"), "{text}");
         assert!(text.contains("lat_sum 10107"), "{text}");

@@ -8,12 +8,14 @@
 //! use icn_obs::Registry;
 //! let registry = Registry::new();
 //! let served = registry.counter("proxy.served");
+//! let request = registry.timer_handle("proxy.request");
 //! for _ in 0..3 {
-//!     let _t = registry.timer("sim.route"); // scoped span timer
+//!     let _t = request.start(); // scoped span timer
 //!     served.inc();
 //! }
-//! assert_eq!(served.get(), 3);
-//! assert_eq!(registry.snapshot().timers["sim.route"].count, 3);
+//! let snap = registry.snapshot();
+//! assert_eq!(snap.counters["proxy.served"], 3);
+//! assert_eq!(snap.timers["proxy.request"].count, 3);
 //! ```
 
 use crate::hist::AtomicHistogram;
@@ -63,37 +65,9 @@ impl Gauge {
         self.0.fetch_sub(1, Ordering::Relaxed);
     }
 
-    /// Adds `n` (may be negative).
-    #[inline]
-    pub fn add(&self, n: i64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Overwrites the value.
-    pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
     /// Current value.
     pub fn get(&self) -> i64 {
         self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A histogram handle (cheap to clone).
-#[derive(Clone)]
-pub struct HistHandle(Arc<AtomicHistogram>);
-
-impl HistHandle {
-    /// Records one value.
-    #[inline]
-    pub fn record(&self, v: u64) {
-        self.0.record(v);
-    }
-
-    /// Copies the current state into a plain histogram.
-    pub fn snapshot(&self) -> crate::hist::Histogram {
-        self.0.snapshot()
     }
 }
 
@@ -116,12 +90,6 @@ impl TimerHandle {
     #[inline]
     pub fn observe_ns(&self, ns: u64) {
         self.0.record(ns);
-    }
-
-    /// Runs `f` inside a span.
-    pub fn time<T>(&self, f: impl FnOnce() -> T) -> T {
-        let _t = self.start();
-        f()
     }
 }
 
@@ -182,17 +150,6 @@ impl Registry {
         ))
     }
 
-    /// Gets or creates the histogram `name`.
-    pub fn histogram(&self, name: &str) -> HistHandle {
-        let mut inner = self
-            .inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        HistHandle(Arc::clone(
-            inner.histograms.entry(name.to_string()).or_default(),
-        ))
-    }
-
     /// Gets or creates the timer `name` (pre-resolved form for hot loops).
     pub fn timer_handle(&self, name: &str) -> TimerHandle {
         let mut inner = self
@@ -204,18 +161,18 @@ impl Registry {
         ))
     }
 
-    /// Starts a scoped span timer: `let _t = registry.timer("sim.route");`.
-    ///
-    /// Convenience form that pays one registry lock per call — hot loops
-    /// should use [`Registry::timer_handle`] once and `start()` per span.
-    pub fn timer(&self, name: &str) -> ScopedTimer {
-        self.timer_handle(name).start()
-    }
-
     /// Merges a finished plain histogram into the histogram `name`
     /// (used to fold per-run/per-shard histograms into the registry).
     pub fn merge_histogram(&self, name: &str, h: &crate::hist::Histogram) {
-        self.histogram(name).0.merge_plain(h);
+        let mut inner = self
+            .inner
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        inner
+            .histograms
+            .entry(name.to_string())
+            .or_default()
+            .merge_plain(h);
     }
 
     /// Folds every metric of `other` into this registry: counters and
@@ -313,10 +270,12 @@ mod tests {
         let r = Registry::new();
         r.counter("x").add(2);
         r.counter("x").inc();
-        assert_eq!(r.counter("x").get(), 3);
-        r.gauge("g").add(5);
+        r.gauge("g").inc();
+        r.gauge("g").inc();
         r.gauge("g").dec();
-        assert_eq!(r.gauge("g").get(), 4);
+        assert_eq!(r.gauge("g").get(), 1);
+        let snap = r.snapshot();
+        assert_eq!((snap.counters["x"], snap.gauges["g"]), (3, 1));
     }
 
     #[test]
@@ -327,30 +286,40 @@ mod tests {
             let r = Arc::clone(&r);
             handles.push(thread::spawn(move || {
                 let c = r.counter("hits");
-                let h = r.histogram("lat");
+                let t = r.timer_handle("lat");
                 for i in 0..10_000u64 {
                     c.inc();
-                    h.record(i % 512);
+                    t.observe_ns(i % 512);
                 }
             }));
         }
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(r.counter("hits").get(), 80_000);
-        assert_eq!(r.histogram("lat").snapshot().count(), 80_000);
+        let snap = r.snapshot();
+        assert_eq!(snap.counters["hits"], 80_000);
+        assert_eq!(snap.timers["lat"].count, 80_000);
+    }
+
+    fn hist_of(values: &[u64]) -> crate::hist::Histogram {
+        let mut h = crate::hist::Histogram::new();
+        for &v in values {
+            h.record(v);
+        }
+        h
     }
 
     #[test]
     fn merge_from_adds_counts_and_unions_names() {
         let main = Registry::new();
         main.counter("sim.requests").add(10);
-        main.histogram("lat").record(5);
+        main.merge_histogram("lat", &hist_of(&[5]));
         let worker = Registry::new();
         worker.counter("sim.requests").add(32);
         worker.counter("sim.coop_probes").add(7);
-        worker.gauge("depth").add(-2);
-        worker.histogram("lat").record(9);
+        worker.gauge("depth").dec();
+        worker.gauge("depth").dec();
+        worker.merge_histogram("lat", &hist_of(&[9]));
         worker.timer_handle("span").observe_ns(100);
 
         main.merge_from(&worker);
@@ -379,10 +348,8 @@ mod tests {
     #[test]
     fn scoped_timer_records_on_drop() {
         let r = Registry::new();
-        {
-            let _t = r.timer("span");
-        }
         let t = r.timer_handle("span");
+        drop(t.start());
         t.observe_ns(500);
         let snap = r.snapshot();
         assert_eq!(snap.timers["span"].count, 2);

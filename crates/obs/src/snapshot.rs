@@ -2,10 +2,10 @@
 //!
 //! A [`Snapshot`] is what a `--telemetry out.json` sidecar contains. It
 //! round-trips through JSON losslessly (histogram summaries carry their
-//! sparse buckets), so downstream tooling can re-merge sidecars from
-//! several runs with [`Snapshot::merge`].
+//! sparse buckets, from which [`HistSummary::to_histogram`] rebuilds the
+//! histogram exactly).
 
-use crate::hist::{bucket_bounds, Histogram};
+use crate::hist::Histogram;
 use crate::json::{parse, Value};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -38,7 +38,7 @@ pub struct HistSummary {
 
 impl HistSummary {
     /// Summarizes a histogram.
-    pub fn of(h: &Histogram) -> Self {
+    pub(crate) fn of(h: &Histogram) -> Self {
         Self {
             count: h.count(),
             sum: h.sum(),
@@ -136,8 +136,9 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Serializes to a compact JSON object.
-    pub fn to_json(&self) -> String {
+    /// The JSON object's fields, as a map a caller can extend (the
+    /// `--telemetry` sidecar adds `"manifest"`).
+    pub fn to_object(&self) -> BTreeMap<String, Value> {
         let mut root = BTreeMap::new();
         root.insert(
             "counters".to_string(),
@@ -175,12 +176,22 @@ impl Snapshot {
                     .collect(),
             ),
         );
-        Value::Obj(root).to_json()
+        root
+    }
+
+    /// Serializes to a compact JSON object.
+    pub fn to_json(&self) -> String {
+        Value::Obj(self.to_object()).to_json()
     }
 
     /// Parses a snapshot back from its JSON form.
     pub fn from_json(text: &str) -> Result<Self, String> {
-        let root = parse(text)?;
+        Self::from_value(&parse(text)?)
+    }
+
+    /// Parses a snapshot back from a parsed JSON object; fields other than
+    /// the four metric maps are ignored.
+    pub fn from_value(root: &Value) -> Result<Self, String> {
         let mut snap = Snapshot::default();
         if let Some(m) = root.get("counters").and_then(Value::as_obj) {
             for (k, v) in m {
@@ -210,23 +221,6 @@ impl Snapshot {
             }
         }
         Ok(snap)
-    }
-
-    /// Merges another snapshot in: counters/gauges add, histograms and
-    /// timers merge bucket-wise (exact).
-    pub fn merge(&mut self, other: &Snapshot) {
-        for (k, &v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, &v) in &other.gauges {
-            *self.gauges.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, s) in &other.histograms {
-            merge_summary(&mut self.histograms, k, s);
-        }
-        for (k, s) in &other.timers {
-            merge_summary(&mut self.timers, k, s);
-        }
     }
 
     /// Renders a human-readable table (counters, gauges, then latency-style
@@ -282,21 +276,8 @@ impl Snapshot {
     }
 }
 
-fn merge_summary(map: &mut BTreeMap<String, HistSummary>, name: &str, other: &HistSummary) {
-    match map.get_mut(name) {
-        None => {
-            map.insert(name.to_string(), other.clone());
-        }
-        Some(mine) => {
-            let mut h = mine.to_histogram();
-            h.merge(&other.to_histogram());
-            *mine = HistSummary::of(&h);
-        }
-    }
-}
-
 /// Formats a nanosecond quantity with a readable unit (ns/µs/ms/s).
-pub fn fmt_ns(ns: f64) -> String {
+fn fmt_ns(ns: f64) -> String {
     if ns >= 1e9 {
         format!("{:.2}s", ns / 1e9)
     } else if ns >= 1e6 {
@@ -308,12 +289,6 @@ pub fn fmt_ns(ns: f64) -> String {
     }
 }
 
-/// Bounds of a bucket index, re-exported for tooling that inspects the
-/// sparse `buckets` arrays in a sidecar.
-pub fn summary_bucket_bounds(i: usize) -> (u64, u64) {
-    bucket_bounds(i)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -322,11 +297,12 @@ mod tests {
     fn sample() -> Snapshot {
         let r = Registry::new();
         r.counter("req.total").add(1234);
-        r.gauge("inflight").set(-3);
-        let h = r.histogram("latency");
+        r.gauge("inflight").dec();
+        let mut h = Histogram::new();
         for v in [1u64, 5, 5, 900, 44_000] {
             h.record(v);
         }
+        r.merge_histogram("latency", &h);
         r.timer_handle("span").observe_ns(2_500_000);
         r.snapshot()
     }
@@ -342,17 +318,6 @@ mod tests {
             back.histograms["latency"].to_histogram(),
             snap.histograms["latency"].to_histogram()
         );
-    }
-
-    #[test]
-    fn merge_adds_counters_and_buckets() {
-        let mut a = sample();
-        let b = sample();
-        a.merge(&b);
-        assert_eq!(a.counters["req.total"], 2468);
-        assert_eq!(a.gauges["inflight"], -6);
-        assert_eq!(a.histograms["latency"].count, 10);
-        assert_eq!(a.timers["span"].count, 2);
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub struct TraceRecord {
 
 impl TraceRecord {
     /// Serializes to one compact JSON object (no trailing newline).
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let mut m = BTreeMap::new();
         m.insert("seq".into(), Value::UInt(self.seq));
         m.insert("object".into(), Value::UInt(self.object));
@@ -113,15 +113,9 @@ impl TraceSink {
         Ok(Self::new(Box::new(io::BufWriter::new(f)), every))
     }
 
-    /// Offers a record; it is serialized only when sampled. Returns whether
-    /// it was written.
-    pub fn offer(&self, rec: &TraceRecord) -> bool {
-        self.offer_with(|| rec.clone())
-    }
-
-    /// Like [`TraceSink::offer`], but the record is *built* only when this
-    /// offer is sampled — the hot path pays one atomic increment for
-    /// skipped records, not a record construction.
+    /// Offers a record, *built* only when this offer is sampled — the hot
+    /// path pays one atomic increment for skipped records, not a record
+    /// construction. Returns whether it was written.
     pub fn offer_with(&self, build: impl FnOnce() -> TraceRecord) -> bool {
         let n = self.offered.fetch_add(1, Ordering::Relaxed);
         if !n.is_multiple_of(self.every) {
@@ -202,7 +196,7 @@ mod tests {
         let buf = Shared::default();
         let sink = TraceSink::new(Box::new(buf.clone()), 10);
         for i in 0..95 {
-            sink.offer(&rec(i));
+            sink.offer_with(|| rec(i));
         }
         assert_eq!(sink.offered(), 95);
         assert_eq!(sink.written(), 10); // 0, 10, ..., 90
@@ -223,7 +217,7 @@ mod tests {
         let buf = Shared::default();
         let sink = TraceSink::new(Box::new(buf), 0);
         for i in 0..5 {
-            sink.offer(&rec(i));
+            sink.offer_with(|| rec(i));
         }
         assert_eq!(sink.written(), 5);
     }

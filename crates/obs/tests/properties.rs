@@ -2,7 +2,7 @@
 //! against an exact oracle, merge algebra, concurrent recording, snapshot
 //! JSON round trips, and the span profiler's merge/nesting invariants.
 
-use icn_obs::{Histogram, ProfileSnapshot, Profiler, Registry, Snapshot};
+use icn_obs::{Histogram, Profiler, Registry, Snapshot};
 use proptest::prelude::*;
 
 /// The same rank convention `Histogram::quantile` uses.
@@ -81,18 +81,22 @@ proptest! {
     #[test]
     fn snapshot_json_round_trips(
         counters in prop::collection::vec((0u64..1000, 0u64..u64::MAX / 2), 0..8),
-        gauge in -5_000_000i64..5_000_000,
+        gauge in -1_000i64..1_000,
         hist_vals in values(),
     ) {
         let registry = Registry::new();
         for (i, (_, v)) in counters.iter().enumerate() {
             registry.counter(&format!("c.{i}")).add(*v);
         }
-        registry.gauge("g").set(gauge);
-        let h = registry.histogram("h");
+        let g = registry.gauge("g");
+        for _ in 0..gauge.unsigned_abs() {
+            if gauge < 0 { g.dec() } else { g.inc() }
+        }
+        let mut h = Histogram::new();
         for &v in &hist_vals {
             h.record(v);
         }
+        registry.merge_histogram("h", &h);
         registry.timer_handle("t").observe_ns(1_234_567);
 
         let snap = registry.snapshot();
@@ -112,11 +116,14 @@ fn observations() -> impl Strategy<Value = Vec<(u8, u64, u64)>> {
     )
 }
 
+/// A profiler whose phase timers hold `obs` (a phase is the timer pair
+/// `<phase>.self` / `<phase>.total`).
 fn profiler_of(obs: &[(u8, u64, u64)]) -> Profiler {
     let p = Profiler::new();
     for &(name, self_ns, total_ns) in obs {
-        p.phase(&format!("phase.{name}"))
-            .observe_ns(self_ns, total_ns);
+        let timer = |half: &str| p.registry().timer_handle(&format!("phase.{name}.{half}"));
+        timer("self").observe_ns(self_ns);
+        timer("total").observe_ns(total_ns);
     }
     p
 }
@@ -127,31 +134,31 @@ proptest! {
         a in observations(), b in observations(), c in observations()
     ) {
         let (pa, pb, pc) = (profiler_of(&a), profiler_of(&b), profiler_of(&c));
+        let merged = |first: &Profiler, rest: &[&Profiler]| {
+            for p in rest {
+                first.registry().merge_from(p.registry());
+            }
+            first.registry().snapshot()
+        };
 
         // (a ∪ b) ∪ c == a ∪ (b ∪ c)
-        let ab_c = profiler_of(&a);
-        ab_c.merge_from(&pb);
-        ab_c.merge_from(&pc);
         let bc = profiler_of(&b);
-        bc.merge_from(&pc);
-        let a_bc = profiler_of(&a);
-        a_bc.merge_from(&bc);
-        prop_assert_eq!(ab_c.snapshot(), a_bc.snapshot());
+        bc.registry().merge_from(pc.registry());
+        prop_assert_eq!(
+            merged(&profiler_of(&a), &[&pb, &pc]),
+            merged(&profiler_of(&a), &[&bc])
+        );
 
         // a ∪ b == b ∪ a
-        let ab = profiler_of(&a);
-        ab.merge_from(&pb);
-        let ba = profiler_of(&b);
-        ba.merge_from(&pa);
-        prop_assert_eq!(ab.snapshot(), ba.snapshot());
+        prop_assert_eq!(merged(&profiler_of(&a), &[&pb]), merged(&profiler_of(&b), &[&pa]));
     }
 
     #[test]
     fn profile_json_round_trips(obs in observations()) {
-        let snap = profiler_of(&obs).snapshot();
-        let back = ProfileSnapshot::from_json(&snap.to_json()).unwrap();
+        let snap = profiler_of(&obs).registry().snapshot();
+        let back = Snapshot::from_json(&snap.to_json()).unwrap();
         prop_assert_eq!(&back, &snap);
-        let again = ProfileSnapshot::from_json(&back.to_json()).unwrap();
+        let again = Snapshot::from_json(&back.to_json()).unwrap();
         prop_assert_eq!(&again, &back);
     }
 
@@ -175,27 +182,29 @@ proptest! {
             }
             while guards.pop().is_some() {}
         }
-        let snap = p.snapshot();
+        let timers = p.registry().snapshot().timers;
         let mut self_sum = 0u64;
-        for (name, phase) in &snap.phases {
+        for (name, self_ns) in &timers {
+            let Some(phase) = name.strip_suffix(".self") else {
+                continue;
+            };
+            let total_ns = &timers[&format!("{phase}.total")];
             prop_assert!(
-                phase.self_ns.sum <= phase.total_ns.sum,
-                "{name}: self {} > total {}",
-                phase.self_ns.sum,
-                phase.total_ns.sum
+                self_ns.sum <= total_ns.sum,
+                "{phase}: self {} > total {}",
+                self_ns.sum,
+                total_ns.sum
             );
-            prop_assert_eq!(phase.self_ns.count, phase.count);
-            prop_assert_eq!(phase.total_ns.count, phase.count);
-            self_sum += phase.self_ns.sum;
+            prop_assert_eq!(self_ns.count, total_ns.count);
+            self_sum += self_ns.sum;
         }
-        prop_assert_eq!(self_sum, snap.phases["root"].total_ns.sum);
+        prop_assert_eq!(self_sum, timers["root.total"].sum);
         // Children at depth d+1 are fully contained in spans at depth d.
         for d in 1.. {
-            let Some(child) = snap.phases.get(&format!("depth.{}", d + 1)) else {
+            let Some(child) = timers.get(&format!("depth.{}.total", d + 1)) else {
                 break;
             };
-            let parent = &snap.phases[&format!("depth.{d}")];
-            prop_assert!(child.total_ns.sum <= parent.total_ns.sum);
+            prop_assert!(child.sum <= timers[&format!("depth.{d}.total")].sum);
         }
     }
 }
@@ -210,12 +219,10 @@ fn counters_and_histograms_are_exact_under_contention() {
             let registry = std::sync::Arc::clone(&registry);
             std::thread::spawn(move || {
                 let counter = registry.counter("contended.counter");
-                let hist = registry.histogram("contended.hist");
                 let timer = registry.timer_handle("contended.timer");
                 for i in 0..PER_THREAD {
                     counter.inc();
-                    hist.record(t as u64 * PER_THREAD + i);
-                    timer.observe_ns(i + 1);
+                    timer.observe_ns(t as u64 * PER_THREAD + i);
                 }
             })
         })
@@ -226,13 +233,8 @@ fn counters_and_histograms_are_exact_under_contention() {
     let snap = registry.snapshot();
     let total = THREADS as u64 * PER_THREAD;
     assert_eq!(snap.counters["contended.counter"], total);
-    assert_eq!(snap.histograms["contended.hist"].count, total);
-    assert_eq!(snap.histograms["contended.hist"].min, 0);
-    assert_eq!(snap.histograms["contended.hist"].max, total - 1);
-    assert_eq!(snap.timers["contended.timer"].count, total);
-    // Sum of 1..=PER_THREAD per thread, exactly, despite the contention.
-    assert_eq!(
-        snap.timers["contended.timer"].sum,
-        THREADS as u64 * (PER_THREAD * (PER_THREAD + 1) / 2)
-    );
+    let timer = &snap.timers["contended.timer"];
+    assert_eq!((timer.count, timer.min, timer.max), (total, 0, total - 1));
+    // Sum of 0..total, exactly, despite the contention.
+    assert_eq!(timer.sum, total * (total - 1) / 2);
 }

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full repo health check: build, tests, lints, formatting, the telemetry
-# sidecar, and byte-compares of every experiment's stdout (all 14 committed
-# results/ files, JOBS=1 vs JOBS=4, profiled vs plain).
+# sidecars of both feature sets, and byte-compares of every experiment's
+# stdout (all 14 committed results/ files, JOBS=1 vs JOBS=4, with and
+# without --telemetry).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -57,16 +58,26 @@ icn() { cargo run --release -q -p icn-bench -- "$@"; }
 tmp="$(mktemp -d /tmp/icn-check.XXXXXX)"
 trap 'rm -rf "$tmp"' EXIT
 
-echo "=== telemetry smoke (fig6 --telemetry)"
-SCALE="${SCALE:-0.02}" icn fig6 --telemetry "$tmp/sidecar.json" >/dev/null
-icn telemetry_check "$tmp/sidecar.json" >/dev/null
-echo "telemetry sidecar OK"
-
-echo "=== parallel determinism cross-check (fig6 JOBS=1 vs JOBS=4)"
+echo "=== parallel and telemetry determinism cross-check (fig6 JOBS=1 vs JOBS=4, with and without --telemetry)"
+# --telemetry attaches the span profiler, which is pure observation: it
+# must not move a single digit of the printed figures. Its sidecar (the
+# metrics and the span profile as one snapshot) must pass telemetry_check.
 SCALE="${SCALE:-0.02}" JOBS=1 icn fig6 >"$tmp/fig6-1.txt" 2>/dev/null
 SCALE="${SCALE:-0.02}" JOBS=4 icn fig6 >"$tmp/fig6-4.txt" 2>/dev/null
 cmp "$tmp/fig6-1.txt" "$tmp/fig6-4.txt"
-echo "JOBS=1 and JOBS=4 stdout byte-identical"
+SCALE="${SCALE:-0.02}" JOBS=4 icn fig6 --telemetry "$tmp/sidecar.json" >"$tmp/fig6-tel.txt" 2>/dev/null
+cmp "$tmp/fig6-4.txt" "$tmp/fig6-tel.txt"
+icn telemetry_check "$tmp/sidecar.json" >/dev/null
+echo "JOBS=1, JOBS=4 and JOBS=4 --telemetry stdout byte-identical; sidecar validates"
+
+echo "=== no-obs sidecar (--no-default-features fig6 JOBS=1 --telemetry, checked by the same build)"
+# Without the obs feature the simulator records no spans, so that build's
+# telemetry_check must accept a sidecar with no profile phases.
+icn_noobs() { cargo run --release -q -p icn-bench --no-default-features -- "$@"; }
+SCALE="${SCALE:-0.02}" JOBS=1 icn_noobs fig6 --telemetry "$tmp/noobs.json" >"$tmp/fig6-noobs.txt" 2>/dev/null
+cmp "$tmp/fig6-1.txt" "$tmp/fig6-noobs.txt"
+icn_noobs telemetry_check "$tmp/noobs.json" >/dev/null
+echo "no-obs JOBS=1 --telemetry stdout byte-identical; its sidecar validates"
 
 echo "=== committed results (icn all at its default SCALE vs results/)"
 # results/*.txt were generated before the request kernel was unified and
@@ -77,17 +88,6 @@ echo "=== committed results (icn all at its default SCALE vs results/)"
 (unset SCALE; icn all 2>/dev/null)
 git diff --exit-code -- results/
 echo "all 14 results/ files byte-identical"
-
-echo "=== profiler determinism cross-check (fig6 ICN_PROFILE=1)"
-# Profiling is pure observation: enabling it must not move a single digit
-# of the printed figures (spans time phases but never steer the sweep).
-# Its span profile lands in the sidecar, where telemetry_check validates it.
-SCALE="${SCALE:-0.02}" JOBS=4 ICN_PROFILE=1 icn fig6 --telemetry "$tmp/profiled.json" \
-    >"$tmp/fig6-profiled.txt" 2>/dev/null
-cmp "$tmp/fig6-4.txt" "$tmp/fig6-profiled.txt"
-grep -q '"profile":{"phases"' "$tmp/profiled.json"
-icn telemetry_check "$tmp/profiled.json" >/dev/null
-echo "profiled and unprofiled stdout byte-identical; profile sidecar validates"
 
 echo "=== live /metrics exposition (idICN pipeline scraped in-process)"
 icn telemetry_check --live-metrics
