@@ -2,10 +2,10 @@
 //!
 //! The simulator instantiates one cache per router (potentially thousands),
 //! so the workhorse implementation is [`CompactLru`]: a fixed-capacity LRU
-//! over `u64` object ids with slab-allocated links and lazy growth. A
-//! generic [`Lru`], an [`Lfu`] ("we also tried LFU, which yielded
-//! qualitatively similar results", §3), and a [`Fifo`] baseline are provided
-//! behind the common [`CachePolicy`] trait.
+//! over object ids stored as `u32`, with slab-allocated links and lazy
+//! growth. A generic [`Lru`], an [`Lfu`] ("we also tried LFU, which yielded
+//! qualitatively similar results", §3), and a [`Fifo`] baseline are
+//! provided behind the common [`CachePolicy`] trait.
 //!
 //! [`budget`] implements the paper's provisioning policies (§4.1): a total
 //! network budget of `F × R × O` split either uniformly or proportionally to
@@ -32,6 +32,6 @@ pub use lfu::Lfu;
 pub use lru::{CompactLru, Lru};
 pub use policy::{CachePolicy, PolicyKind};
 pub use prob::ProbCache;
-pub use slot::CacheSlot;
+pub use slot::{CacheSlot, Stored};
 pub use tinylfu::TinyLfu;
 pub use ttl::Ttl;

@@ -2,13 +2,15 @@
 //!
 //! [`Lru`] is a straightforward generic implementation (hash map plus an
 //! intrusive doubly-linked list over a slab). [`CompactLru`] specializes it
-//! for `u64` keys with `u32` slab links and a fast integer hasher — the
-//! simulator allocates one per router, so per-entry footprint matters. The
+//! for object ids stored as `u32`, with `u32` slab links and a fast integer
+//! hasher — the simulator allocates one per router, so per-entry footprint
+//! matters. The
 //! two are property-tested against each other for exact behavioural
 //! equivalence (see `tests/` at the crate root).
 
 use crate::hash::FastMap;
 use crate::policy::{CachePolicy, Key};
+use crate::slot::Stored;
 #[expect(clippy::disallowed_types, reason = "keyed lookup only; never iterated")]
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -179,7 +181,14 @@ impl<K: Hash + Eq + Copy> Lru<K> {
     }
 }
 
-/// LRU over `u64` keys with a fast hasher; the simulator's per-router cache.
+/// LRU over object ids with a fast hasher; the simulator's per-router cache.
+///
+/// The [`Key`] API is `u64`, but ids are stored as `u32`: every simulated
+/// object id fits, and the narrower map entry (8 B instead of 16 B) and slab
+/// slot (12 B instead of 16 B) are what keep a network of these caches in
+/// cache. A key of 2³² or more is never resident: [`CachePolicy::contains`],
+/// [`CachePolicy::touch`] and [`CompactLru::remove`] answer "absent", and
+/// inserting one panics.
 ///
 /// # Examples
 /// ```
@@ -194,12 +203,29 @@ impl<K: Hash + Eq + Copy> Lru<K> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct CompactLru {
-    map: FastMap<Key, u32>,
-    slots: Vec<Slot<Key>>,
+    map: FastMap<u32, u32>,
+    slots: Vec<Slot<u32>>,
     free: Vec<u32>,
     head: u32,
     tail: u32,
     capacity: usize,
+}
+
+/// The stored form of `key`, or `None` when it does not fit in 32 bits
+/// (such a key is never resident).
+#[inline]
+fn narrow(key: Key) -> Option<u32> {
+    u32::try_from(key).ok()
+}
+
+/// The stored form of a key being inserted.
+#[inline]
+#[expect(clippy::panic, reason = "a key past u32 is a caller bug")]
+fn narrow_insert(key: Key) -> u32 {
+    match narrow(key) {
+        Some(k) => k,
+        None => panic!("CompactLru key {key} does not fit in 32 bits"),
+    }
 }
 
 impl CompactLru {
@@ -218,12 +244,55 @@ impl CompactLru {
 
     /// Removes `key` if present; returns whether it was cached.
     pub fn remove(&mut self, key: Key) -> bool {
-        if let Some(idx) = self.map.remove(&key) {
-            self.unlink(idx);
-            self.free.push(idx);
-            true
+        let Some(idx) = narrow(key).and_then(|k| self.map.remove(&k)) else {
+            return false;
+        };
+        self.unlink(idx);
+        self.free.push(idx);
+        true
+    }
+
+    /// Inserts `key` like [`CachePolicy::insert`] and reports what happened
+    /// in one call: a present key costs one map probe, an absent one a probe
+    /// plus the insert (and the victim's removal at capacity, whose slab slot
+    /// the new key takes over).
+    pub fn store(&mut self, key: Key) -> Stored {
+        let key = narrow_insert(key);
+        if self.capacity == 0 {
+            return Stored::default();
+        }
+        if let Some(&idx) = self.map.get(&key) {
+            self.promote(idx);
+            return Stored {
+                had: true,
+                resident: true,
+                evicted: None,
+            };
+        }
+        let (idx, evicted) = if self.map.len() == self.capacity {
+            let victim = self.tail;
+            debug_assert_ne!(victim, NIL);
+            self.unlink(victim);
+            let old = std::mem::replace(&mut self.slots[victim as usize].key, key);
+            self.map.remove(&old);
+            (victim, Some(Key::from(old)))
+        } else if let Some(i) = self.free.pop() {
+            self.slots[i as usize].key = key;
+            (i, None)
         } else {
-            false
+            self.slots.push(Slot {
+                key,
+                prev: NIL,
+                next: NIL,
+            });
+            ((self.slots.len() - 1) as u32, None)
+        };
+        self.map.insert(key, idx);
+        self.push_front(idx);
+        Stored {
+            had: false,
+            resident: true,
+            evicted,
         }
     }
 
@@ -231,7 +300,7 @@ impl CompactLru {
     /// least-recently-used one), without evicting it. Admission filters
     /// (TinyLFU) compare a candidate against this victim.
     pub fn lru_victim(&self) -> Option<Key> {
-        (self.tail != NIL).then(|| self.slots[self.tail as usize].key)
+        (self.tail != NIL).then(|| Key::from(self.slots[self.tail as usize].key))
     }
 
     /// Keys from most- to least-recently used.
@@ -243,8 +312,17 @@ impl CompactLru {
             }
             let slot = &self.slots[cur as usize];
             cur = slot.next;
-            Some(slot.key)
+            Some(Key::from(slot.key))
         })
+    }
+
+    /// Makes slab slot `idx` the most recent; a no-op when it already is.
+    #[inline]
+    fn promote(&mut self, idx: u32) {
+        if idx != self.head {
+            self.unlink(idx);
+            self.push_front(idx);
+        }
     }
 
     fn unlink(&mut self, idx: u32) {
@@ -287,52 +365,17 @@ impl CachePolicy for CompactLru {
     }
 
     fn contains(&self, key: Key) -> bool {
-        self.map.contains_key(&key)
+        narrow(key).is_some_and(|k| self.map.contains_key(&k))
     }
 
     fn touch(&mut self, key: Key) {
-        if let Some(&idx) = self.map.get(&key) {
-            self.unlink(idx);
-            self.push_front(idx);
+        if let Some(&idx) = narrow(key).and_then(|k| self.map.get(&k)) {
+            self.promote(idx);
         }
     }
 
     fn insert(&mut self, key: Key) -> Option<Key> {
-        if self.capacity == 0 {
-            return None;
-        }
-        if self.map.contains_key(&key) {
-            self.touch(key);
-            return None;
-        }
-        let evicted = if self.map.len() == self.capacity {
-            let victim = self.tail;
-            debug_assert_ne!(victim, NIL);
-            self.unlink(victim);
-            let old = self.slots[victim as usize].key;
-            self.map.remove(&old);
-            self.free.push(victim);
-            Some(old)
-        } else {
-            None
-        };
-        let idx = match self.free.pop() {
-            Some(i) => {
-                self.slots[i as usize].key = key;
-                i
-            }
-            None => {
-                self.slots.push(Slot {
-                    key,
-                    prev: NIL,
-                    next: NIL,
-                });
-                (self.slots.len() - 1) as u32
-            }
-        };
-        self.map.insert(key, idx);
-        self.push_front(idx);
-        evicted
+        self.store(key).evicted
     }
 
     fn clear(&mut self) {
@@ -428,6 +471,70 @@ mod tests {
         assert_eq!(c.len(), 0);
         assert_eq!(c.insert(2), None);
         assert!(c.contains(2));
+    }
+
+    const WIDE: u64 = 5 | 1 << 32;
+
+    #[test]
+    fn wide_keys_are_never_contained() {
+        let mut c = CompactLru::new(2);
+        c.insert(5);
+        assert!(c.contains(5));
+        assert!(!c.contains(WIDE), "the high bits are not dropped");
+        assert!(!c.contains(u64::MAX));
+    }
+
+    #[test]
+    fn touching_a_wide_key_is_a_no_op() {
+        let mut c = CompactLru::new(2);
+        c.insert(5);
+        c.insert(6);
+        c.touch(WIDE); // would make 6 the victim if it touched 5
+        assert_eq!(c.insert(7), Some(5));
+    }
+
+    #[test]
+    fn removing_a_wide_key_reports_absent() {
+        let mut c = CompactLru::new(2);
+        c.insert(5);
+        assert!(!c.remove(WIDE));
+        assert!(c.contains(5));
+        assert_eq!(c.len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit in 32 bits")]
+    fn inserting_a_wide_key_panics() {
+        CompactLru::new(2).insert(WIDE);
+    }
+
+    #[test]
+    fn store_reports_presence_and_eviction() {
+        let mut c = CompactLru::new(2);
+        let fresh = Stored {
+            had: false,
+            resident: true,
+            evicted: None,
+        };
+        assert_eq!(c.store(1), fresh);
+        assert_eq!(c.store(2), fresh);
+        assert_eq!(
+            c.store(1),
+            Stored {
+                had: true,
+                resident: true,
+                evicted: None
+            }
+        );
+        assert_eq!(
+            c.store(3),
+            Stored {
+                evicted: Some(2),
+                ..fresh
+            }
+        );
+        assert_eq!(c.iter_mru().collect::<Vec<_>>(), vec![3, 1]);
+        assert_eq!(CompactLru::new(0).store(1), Stored::default());
     }
 
     #[test]

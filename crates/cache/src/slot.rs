@@ -21,6 +21,19 @@ use crate::prob::ProbCache;
 use crate::tinylfu::TinyLfu;
 use crate::ttl::Ttl;
 
+/// What one [`CacheSlot::store`] did: the answers of `contains` before and
+/// after the insert, and the key the insert displaced.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Stored {
+    /// The key was resident before the store.
+    pub had: bool,
+    /// The key is resident after the store (an admission filter, a
+    /// zero-capacity cache or [`CacheSlot::None`] may refuse it).
+    pub resident: bool,
+    /// The key evicted to make room, if any.
+    pub evicted: Option<Key>,
+}
+
 /// A cache slot for one router: either a concrete policy or nothing.
 ///
 /// All methods on the `None` variant behave like an always-empty,
@@ -155,6 +168,27 @@ impl CacheSlot {
         match self {
             CacheSlot::Ttl(c) => c.insert_at(key, now),
             other => other.insert(key),
+        }
+    }
+
+    /// Stores `key` at logical time `now` and reports what changed — the
+    /// simulator's response-path insert, which must keep the replica
+    /// directory in step with the cache. Equivalent to `contains`, then
+    /// [`CacheSlot::insert_at`], then `contains` again; the LRU variant
+    /// answers all three with one map probe for a present key.
+    #[inline]
+    pub fn store(&mut self, key: Key, now: u64) -> Stored {
+        match self {
+            CacheSlot::Lru(c) => c.store(key),
+            other => {
+                let had = other.contains(key);
+                let evicted = other.insert_at(key, now);
+                Stored {
+                    had,
+                    resident: other.contains(key),
+                    evicted,
+                }
+            }
         }
     }
 

@@ -1,8 +1,9 @@
 //! Property tests: `CompactLru` behaves exactly like the generic `Lru` and
-//! like a naive reference model, under arbitrary operation scripts.
+//! like a naive reference model, and `CacheSlot::store` like the three
+//! calls it replaces, under arbitrary operation scripts.
 
-use icn_cache::policy::CachePolicy;
-use icn_cache::{CompactLru, Fifo, Lfu, Lru};
+use icn_cache::policy::{CachePolicy, PolicyKind};
+use icn_cache::{CacheSlot, CompactLru, Fifo, Lfu, Lru, Stored};
 use proptest::prelude::*;
 
 /// A naive, obviously-correct LRU: a Vec ordered most-recent-first.
@@ -62,6 +63,19 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
         ],
         0..200,
     )
+}
+
+/// Every policy a simulator slot can hold, with a lease and an admission
+/// rate that expire and refuse keys within a 200-op script.
+fn slot_kind(i: u8) -> PolicyKind {
+    match i {
+        0 => PolicyKind::Lru,
+        1 => PolicyKind::Lfu,
+        2 => PolicyKind::Fifo,
+        3 => PolicyKind::Prob { admit_pct: 60 },
+        4 => PolicyKind::Ttl { ttl: 40 },
+        _ => PolicyKind::TinyLfu,
+    }
 }
 
 proptest! {
@@ -152,6 +166,46 @@ proptest! {
                 Op::Contains(_) | Op::Remove(_) => {}
             }
             prop_assert!(cache.len() <= capacity);
+        }
+    }
+
+    /// `store` answers exactly what `contains`, `insert_at`, `contains`
+    /// answered, and leaves the slot in the same state, for all six
+    /// policies (TTL leases are also expired on the way).
+    #[test]
+    fn slot_store_matches_the_three_call_sequence(
+        capacity in 0usize..8,
+        script in ops(),
+        kind in 0u8..6,
+    ) {
+        let kind = slot_kind(kind);
+        let mut one = CacheSlot::build(kind, capacity);
+        let mut three = CacheSlot::build(kind, capacity);
+        for (now, op) in script.into_iter().enumerate() {
+            let now = now as u64;
+            match op {
+                Op::Insert(k) => {
+                    let had = three.contains(k);
+                    let evicted = three.insert_at(k, now);
+                    let want = Stored { had, resident: three.contains(k), evicted };
+                    prop_assert_eq!(one.store(k, now), want, "{:?} store {}", kind, k);
+                }
+                Op::Touch(k) => {
+                    one.touch(k);
+                    three.touch(k);
+                }
+                Op::Contains(k) => {
+                    // Retires a lease opened 40 ticks ago (TTL only).
+                    prop_assert_eq!(one.expire(k, now), three.expire(k, now));
+                }
+                Op::Remove(k) => {
+                    prop_assert_eq!(one.remove(k), three.remove(k));
+                }
+            }
+            prop_assert_eq!(one.len(), three.len());
+            for k in 0..30 {
+                prop_assert_eq!(one.contains(k), three.contains(k), "{:?} key {}", kind, k);
+            }
         }
     }
 }

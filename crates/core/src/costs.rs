@@ -26,7 +26,7 @@
 //! (`disallowed-types`), and `tests/cost_table.rs` pins the table bitwise
 //! against the model.
 
-use crate::dir::ranks;
+use crate::dir::{first_rank, ranks};
 use crate::latency::LatencyModel;
 use icn_topology::{Network, NodeId};
 
@@ -57,6 +57,10 @@ pub struct CostTable {
     climb_root: Vec<f64>,
     /// `core[pa * pops + pb]`: core distance × per-link core cost.
     core: Vec<f64>,
+    /// `core_min[pa]`: the cheapest `core[pa * pops + pb]` over `pb != pa`
+    /// (`+∞` on a one-PoP network) — the core term of
+    /// [`CostFrom::foreign_floor`].
+    core_min: Vec<f64>,
     /// `uplink[t]`: cost of the tree link above tree index `t`
     /// (`uplink[0]` is 0 — the root has no uplink).
     uplink: Vec<f64>,
@@ -106,6 +110,14 @@ impl CostTable {
                     .map(move |pb| net.core_distance(pa, pb) as f64 * model.core_link_cost(depth))
             })
             .collect();
+        let core_min: Vec<f64> = (0..pops)
+            .map(|pa| {
+                (0..pops)
+                    .filter(|&pb| pb != pa)
+                    .map(|pb| core[(pa * pops + pb) as usize])
+                    .fold(f64::INFINITY, f64::min)
+            })
+            .collect();
         let intra = (tree_nodes <= MAX_DENSE_TREE).then(|| {
             let mut m = Vec::with_capacity((tree_nodes * tree_nodes) as usize);
             for ta in 0..tree_nodes {
@@ -152,6 +164,7 @@ impl CostTable {
             intra,
             climb_root,
             core,
+            core_min,
             uplink,
             zero_zero: zero + zero,
             rank_of,
@@ -280,9 +293,10 @@ impl CostFrom<'_> {
         self.table.intra_cost(self.ta, tb)
     }
 
-    /// Folds the same-PoP candidates of `mask` — presence bits indexed by
-    /// climb rank, for the *source's own* PoP — into `best` under the
-    /// `(cost, NodeId)` order, skipping the source itself.
+    /// Folds the same-PoP candidates of `group` — presence bits indexed by
+    /// climb rank (bit `r % 64` of word `r / 64`), for the *source's own*
+    /// PoP — into `best` under the `(cost, NodeId)` order, skipping the
+    /// source itself.
     ///
     /// Own-PoP costs go through the LCA and are not monotone in rank, so
     /// this walk cannot take one `trailing_zeros` representative the way
@@ -302,57 +316,71 @@ impl CostFrom<'_> {
     /// is a pure minimum under a total order; the result is bit-identical
     /// to the exhaustive walk it replaces.
     #[inline]
-    pub fn min_in_own_mask(&self, mask: u128, best: &mut Option<(f64, NodeId)>) {
+    pub fn min_in_own_mask(&self, group: &[u64], best: &mut Option<(f64, NodeId)>) {
         let t = self.table;
         let climb_a = t.climb_root[self.ta as usize];
-        let mut bits = mask;
-        while bits != 0 {
-            let r = 127 - bits.leading_zeros();
-            bits &= !(1u128 << r);
-            if let Some((bc, _)) = *best {
-                if climb_a - t.climb_by_rank[r as usize] > bc {
-                    break;
+        for (i, &word) in group.iter().enumerate().rev() {
+            let mut bits = word;
+            while bits != 0 {
+                let hi = 63 - bits.leading_zeros();
+                bits &= !(1u64 << hi);
+                let r = i as u32 * 64 + hi;
+                if let Some((bc, _)) = *best {
+                    if climb_a - t.climb_by_rank[r as usize] > bc {
+                        return;
+                    }
                 }
+                let tb = t.t_of_rank[r as usize];
+                if tb == self.ta {
+                    continue;
+                }
+                fold_min(best, t.intra_cost(self.ta, tb), self.pa * t.tree_nodes + tb);
             }
-            let tb = t.t_of_rank[r as usize];
-            if tb == self.ta {
-                continue;
-            }
-            fold_min(best, t.intra_cost(self.ta, tb), self.pa * t.tree_nodes + tb);
         }
     }
 
-    /// Folds the replicas PoP `p` holds (`mask`, presence bits by climb
+    /// Folds the replicas PoP `p` holds (`group`, presence bits by climb
     /// rank) into `best`. A foreign PoP's first set bit is provably its
-    /// `(cost, NodeId)`-minimal replica, so it contributes one candidate;
-    /// the source's own PoP takes the [`CostFrom::min_in_own_mask`] walk.
-    /// A foreign `mask` must be non-zero (directory groups always are).
-    /// Runs once per PoP group of every nearest-replica selection; the
-    /// inliner keeps it out of line there unless forced (measured).
+    /// `(cost, NodeId)`-minimal replica, so it contributes one candidate
+    /// (none when the group is empty); the source's own PoP takes the
+    /// [`CostFrom::min_in_own_mask`] walk. Runs once per PoP group of
+    /// every nearest-replica selection; the inliner keeps it out of line
+    /// there unless forced (measured).
     #[inline(always)]
-    pub(crate) fn min_in_group(&self, p: u32, mask: u128, best: &mut Option<(f64, NodeId)>) {
+    pub(crate) fn min_in_group(&self, p: u32, group: &[u64], best: &mut Option<(f64, NodeId)>) {
         if p == self.pa {
-            self.min_in_own_mask(mask, best);
-        } else {
-            let r = mask.trailing_zeros();
+            self.min_in_own_mask(group, best);
+        } else if let Some(r) = first_rank(group) {
             let n = p * self.table.tree_nodes + self.table.t_of_rank[r as usize];
             fold_min(best, self.to_pop_rank(p, r), n);
         }
     }
 
-    /// Appends every replica PoP `p` holds (`mask`) that is cheaper than
+    /// A lower bound on the cost of every replica outside the source's own
+    /// PoP: the shallowest climb (rank 0) plus the cheapest core leg,
+    /// summed in the association [`CostFrom::to_pop_rank`] uses. Rounding
+    /// is monotone, so no term being larger can make the sum smaller: an
+    /// own-PoP candidate *strictly* below this floor beats every foreign
+    /// one, even on the `NodeId` tie-break. `+∞` on a one-PoP network.
+    #[inline]
+    pub fn foreign_floor(&self) -> f64 {
+        let t = self.table;
+        t.climb_root[self.ta as usize] + t.climb_by_rank[0] + t.core_min[self.pa as usize]
+    }
+
+    /// Appends every replica PoP `p` holds (`group`) that is cheaper than
     /// `max_cost` to the parallel cost/node arrays, skipping the source
     /// itself — for selections that may need to probe past the minimum.
     pub(crate) fn extend_from_group(
         &self,
         p: u32,
-        mask: u128,
+        group: &[u64],
         max_cost: f64,
         costs_out: &mut Vec<f64>,
         nodes_out: &mut Vec<NodeId>,
     ) {
         let t = self.table;
-        for r in ranks(mask) {
+        for r in ranks(group) {
             let tb = t.t_of_rank[r as usize];
             let c = if p != self.pa {
                 self.to_pop_rank(p, r)
@@ -384,7 +412,7 @@ impl CostFrom<'_> {
 /// Replaces `best` with `(c, n)` when that is smaller under the
 /// `(cost, NodeId)` order every replica selection shares.
 #[inline]
-pub(crate) fn fold_min(best: &mut Option<(f64, NodeId)>, c: f64, n: NodeId) {
+fn fold_min(best: &mut Option<(f64, NodeId)>, c: f64, n: NodeId) {
     if best.is_none_or(|(bc, bn)| c < bc || (c == bc && n < bn)) {
         *best = Some((c, n));
     }
@@ -515,8 +543,9 @@ mod tests {
                 let src = net.node(2, src_t);
                 let from = table.from(src);
                 for &mask in &masks {
+                    let group = crate::dir::mask_words(mask);
                     let mut got: Option<(f64, NodeId)> = None;
-                    from.min_in_own_mask(mask, &mut got);
+                    from.min_in_own_mask(&group, &mut got);
                     // Reference: ascending full walk, same tie-break.
                     let mut want: Option<(f64, NodeId)> = None;
                     let mut bits = mask;
@@ -539,7 +568,7 @@ mod tests {
                     // running minimum, too.
                     let seed = Some((1.0, 0));
                     let mut got2 = seed;
-                    from.min_in_own_mask(mask, &mut got2);
+                    from.min_in_own_mask(&group, &mut got2);
                     let want2 = match (seed, want) {
                         (Some((sc, sn)), Some((wc, wn))) if wc < sc || (wc == sc && wn < sn) => {
                             want

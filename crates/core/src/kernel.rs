@@ -126,8 +126,9 @@ impl<'a> Env<'a> {
         self.spec.routing == Routing::NearestReplica
     }
 
-    /// `(pop, climb rank)` of a router — its coordinates in a
-    /// [`ReplicaMasks`](crate::dir::ReplicaMasks) directory.
+    /// `(pop, climb rank)` of a router — its coordinates in either replica
+    /// directory of [`crate::dir`]: the PoP picks the group, the rank the
+    /// bit within it.
     #[inline]
     pub(crate) fn pop_rank(&self, node: NodeId) -> (u32, u32) {
         (
@@ -1264,9 +1265,10 @@ pub(crate) mod invariant {
         fixture_on(Network::new(pop::abilene(), AccessTree::new(2, 3)))
     }
 
-    /// Two PoPs under 255-node access trees — past the
-    /// [`MAX_MASK_TREE`](crate::dir::MAX_MASK_TREE) nodes a rank mask can
-    /// index, so nearest-replica runs take the `Vec` directory.
+    /// Two PoPs under 255-node access trees: four 64-bit words per PoP
+    /// group of the simulator's replica directory, and past the
+    /// [`MAX_MASK_TREE`](crate::dir::MAX_MASK_TREE) nodes the epoch
+    /// engine's masks can index.
     pub(crate) fn wide_tree_net() -> Network {
         let pair = PopGraph::new(
             "pair",

@@ -42,7 +42,7 @@
 
 use crate::config::ExperimentConfig;
 use crate::design::Routing;
-use crate::dir::{ReplicaMasks, MAX_MASK_TREE};
+use crate::dir::{mask_words, ReplicaMasks, MAX_MASK_TREE};
 use crate::instrument::CellClock;
 use crate::kernel::{Env, Kernel, World, RNG_SEED};
 use crate::metrics::RunMetrics;
@@ -304,17 +304,14 @@ impl World for LaneWorld {
             self.deltas.push(Delta::Insert { idx, node, object });
             return false;
         };
-        let c = &mut self.caches[t as usize];
-        let had = c.contains(object as u64);
-        let evicted = c.insert_at(object as u64, idx);
-        let stored = c.contains(object as u64);
-        if let Some(e) = evicted {
+        let s = self.caches[t as usize].store(object as u64, idx);
+        if let Some(e) = s.evicted {
             self.dir_note_remove(env, t, e as u32);
         }
-        if !had && stored {
+        if !s.had && s.resident {
             self.dir_note_insert(env, t, object);
         }
-        stored
+        s.resident
     }
 
     fn expire(&mut self, env: &Env, node: NodeId, object: u32, stamp: u64) {
@@ -350,9 +347,10 @@ impl World for LaneWorld {
     fn nearest(&self, env: &Env, leaf: NodeId, object: u32) -> Option<(f64, NodeId)> {
         let from = env.costs.from(leaf);
         let mut best = None;
-        from.min_in_group(self.pop, self.own_mask(object), &mut best);
+        let own = mask_words(self.own_mask(object));
+        from.min_in_group(self.pop, &own, &mut best);
         for (p, mask) in self.foreign_groups(env, object) {
-            from.min_in_group(p, mask, &mut best);
+            from.min_in_group(p, &mask_words(mask), &mut best);
         }
         best
     }
@@ -367,24 +365,19 @@ impl World for LaneWorld {
         nodes_out: &mut Vec<NodeId>,
     ) {
         let from = env.costs.from(leaf);
-        from.extend_from_group(
-            self.pop,
-            self.own_mask(object),
-            max_cost,
-            costs_out,
-            nodes_out,
-        );
+        let own = mask_words(self.own_mask(object));
+        from.extend_from_group(self.pop, &own, max_cost, costs_out, nodes_out);
         for (p, mask) in self.foreign_groups(env, object) {
-            from.extend_from_group(p, mask, max_cost, costs_out, nodes_out);
+            from.extend_from_group(p, &mask_words(mask), max_cost, costs_out, nodes_out);
         }
     }
 
     #[cfg(test)]
     fn for_each_replica(&self, env: &Env, object: u32, mut f: impl FnMut(NodeId)) {
         use crate::dir::ranks;
-        ranks(self.own_mask(object)).for_each(|r| f(env.node_at(self.pop, r)));
+        ranks(&mask_words(self.own_mask(object))).for_each(|r| f(env.node_at(self.pop, r)));
         for (p, mask) in self.foreign_groups(env, object) {
-            ranks(mask).for_each(|r| f(env.node_at(p, r)));
+            ranks(&mask_words(mask)).for_each(|r| f(env.node_at(p, r)));
         }
     }
 }

@@ -1,11 +1,15 @@
 //! The sequential simulator: the request kernel ([`crate::kernel`]) over
 //! a world where every router's cache and the whole replica directory are
 //! live, so request `i + 1` observes everything request `i` wrote.
+//!
+//! Its directory is the dense [`ReplicaDir`] at any tree width, and its
+//! response-path insert is one [`CacheSlot::store`] call, which answers
+//! "was it here, is it here now, what left" together, so the directory
+//! follows the cache without re-probing it.
 
 use crate::config::ExperimentConfig;
-use crate::costs::fold_min;
 use crate::design::DesignSpec;
-use crate::dir::{ReplicaMasks, MAX_MASK_TREE};
+use crate::dir::ReplicaDir;
 use crate::instrument::SimObs;
 use crate::kernel::{Env, Kernel, World, RNG_SEED};
 use crate::metrics::RunMetrics;
@@ -15,81 +19,30 @@ use icn_topology::{Network, NodeId};
 use icn_workload::trace::Request;
 use std::ops::Range;
 
-/// The nearest-replica directory of the live world: which cache-equipped
-/// routers currently hold each object.
-enum Directory {
-    /// Shortest-path routing never consults a directory.
-    Off,
-    /// Bit-packed (see [`crate::dir`]): selection reads one per-PoP
-    /// representative via `trailing_zeros` instead of scanning every
-    /// replica, and insert/evict/flush are branch-free bit updates.
-    Masks(ReplicaMasks),
-    /// `lists[object]` = holders in *arbitrary* order (selection breaks
-    /// cost ties by `NodeId`, so insertion order never matters). Used for
-    /// trees too large for a `u128` presence mask.
-    Lists(Vec<Vec<NodeId>>),
-}
-
-impl Directory {
-    /// An empty directory in the representation `env` calls for.
-    fn new(env: &Env) -> Self {
-        let objects = env.origins.len();
-        if !env.tracks_replicas() {
-            Directory::Off
-        } else if env.net.tree.nodes() <= MAX_MASK_TREE {
-            Directory::Masks(ReplicaMasks::new(objects))
-        } else {
-            Directory::Lists(vec![Vec::new(); objects])
-        }
-    }
-
-    fn insert(&mut self, env: &Env, node: NodeId, object: u32) {
-        match self {
-            Directory::Off => {}
-            Directory::Masks(masks) => {
-                let (p, r) = env.pop_rank(node);
-                masks.insert(object, p, r);
-            }
-            Directory::Lists(lists) => lists[object as usize].push(node),
-        }
-    }
-
-    fn remove(&mut self, env: &Env, node: NodeId, object: u32) {
-        match self {
-            Directory::Off => {}
-            Directory::Masks(masks) => {
-                let (p, r) = env.pop_rank(node);
-                masks.remove(object, p, r);
-            }
-            Directory::Lists(lists) => {
-                let list = &mut lists[object as usize];
-                if let Some(pos) = list.iter().position(|&n| n == node) {
-                    list.swap_remove(pos);
-                }
-            }
-        }
-    }
-
-    #[cfg(test)]
-    fn for_each(&self, env: &Env, object: u32, mut f: impl FnMut(NodeId)) {
-        use crate::dir::ranks;
-        match self {
-            Directory::Off => {}
-            Directory::Masks(masks) => {
-                for &(p, mask) in masks.entries(object) {
-                    ranks(mask).for_each(|r| f(env.node_at(p, r)));
-                }
-            }
-            Directory::Lists(lists) => lists[object as usize].iter().copied().for_each(f),
-        }
-    }
-}
-
 /// The sequential engine's [`World`]: it owns every router, indexes
 /// caches by global `NodeId`, and applies every effect in place.
 pub(crate) struct LiveWorld {
     caches: Vec<CacheSlot>,
-    dir: Directory,
+    /// The dense replica directory ([`crate::dir`]): which routers hold
+    /// each object. `None` under shortest-path routing, which never
+    /// consults one.
+    dir: Option<ReplicaDir>,
+}
+
+impl LiveWorld {
+    fn dir_insert(&mut self, env: &Env, node: NodeId, object: u32) {
+        if let Some(dir) = &mut self.dir {
+            let (p, r) = env.pop_rank(node);
+            dir.insert(object, p, r);
+        }
+    }
+
+    fn dir_remove(&mut self, env: &Env, node: NodeId, object: u32) {
+        if let Some(dir) = &mut self.dir {
+            let (p, r) = env.pop_rank(node);
+            dir.remove(object, p, r);
+        }
+    }
 }
 
 impl World for LiveWorld {
@@ -111,62 +64,44 @@ impl World for LiveWorld {
     #[inline]
     fn remove(&mut self, env: &Env, node: NodeId, object: u32) {
         if self.caches[node as usize].remove(object as u64) {
-            self.dir.remove(env, node, object);
+            self.dir_remove(env, node, object);
         }
     }
 
     #[inline]
     fn store(&mut self, env: &Env, idx: u64, node: NodeId, object: u32) -> bool {
-        let c = &mut self.caches[node as usize];
-        let had = c.contains(object as u64);
-        let evicted = c.insert_at(object as u64, idx);
-        let stored = c.contains(object as u64);
-        if let Some(e) = evicted {
-            self.dir.remove(env, node, e as u32);
+        let s = self.caches[node as usize].store(object as u64, idx);
+        if let Some(e) = s.evicted {
+            self.dir_remove(env, node, e as u32);
         }
-        if !had && stored {
-            self.dir.insert(env, node, object);
+        if !s.had && s.resident {
+            self.dir_insert(env, node, object);
         }
-        stored
+        s.resident
     }
 
     #[inline]
     fn expire(&mut self, env: &Env, node: NodeId, object: u32, stamp: u64) {
         if self.caches[node as usize].expire(object as u64, stamp) {
-            self.dir.remove(env, node, object);
+            self.dir_remove(env, node, object);
         }
     }
 
     fn flush(&mut self, env: &Env, node: NodeId) {
-        if env.tracks_replicas() && !self.caches[node as usize].is_empty() {
-            for o in 0..env.origins.len() as u32 {
-                self.dir.remove(env, node, o);
+        let cache = &mut self.caches[node as usize];
+        if let Some(dir) = &mut self.dir {
+            if !cache.is_empty() {
+                let (p, r) = env.pop_rank(node);
+                dir.clear_holder(p, r);
             }
         }
-        self.caches[node as usize].clear();
+        cache.clear();
     }
 
     #[inline]
     fn nearest(&self, env: &Env, leaf: NodeId, object: u32) -> Option<(f64, NodeId)> {
-        let from = env.costs.from(leaf);
-        let mut best = None;
-        match &self.dir {
-            Directory::Off => {}
-            // Rank-ordered masks: one candidate per foreign PoP; only the
-            // leaf's own PoP needs per-candidate LCA costs.
-            Directory::Masks(masks) => {
-                for &(p, mask) in masks.entries(object) {
-                    from.min_in_group(p, mask, &mut best);
-                }
-            }
-            Directory::Lists(lists) => {
-                // The leaf was already probed (its capacity may have failed).
-                for &n in lists[object as usize].iter().filter(|&&n| n != leaf) {
-                    fold_min(&mut best, from.to(n), n);
-                }
-            }
-        }
-        best
+        let dir = self.dir.as_ref()?;
+        dir.nearest(&env.costs.from(leaf), object)
     }
 
     fn extend_cands(
@@ -178,29 +113,22 @@ impl World for LiveWorld {
         costs_out: &mut Vec<f64>,
         nodes_out: &mut Vec<NodeId>,
     ) {
-        let from = env.costs.from(leaf);
-        match &self.dir {
-            Directory::Off => {}
-            Directory::Masks(masks) => {
-                for &(p, mask) in masks.entries(object) {
-                    from.extend_from_group(p, mask, max_cost, costs_out, nodes_out);
-                }
-            }
-            Directory::Lists(lists) => {
-                for &n in lists[object as usize].iter().filter(|&&n| n != leaf) {
-                    let c = from.to(n);
-                    if c < max_cost {
-                        costs_out.push(c);
-                        nodes_out.push(n);
-                    }
-                }
-            }
+        if let Some(dir) = &self.dir {
+            dir.extend_cands(
+                &env.costs.from(leaf),
+                object,
+                max_cost,
+                costs_out,
+                nodes_out,
+            );
         }
     }
 
     #[cfg(test)]
-    fn for_each_replica(&self, env: &Env, object: u32, f: impl FnMut(NodeId)) {
-        self.dir.for_each(env, object, f);
+    fn for_each_replica(&self, env: &Env, object: u32, mut f: impl FnMut(NodeId)) {
+        if let Some(dir) = &self.dir {
+            dir.for_each(object, |p, r| f(env.node_at(p, r)));
+        }
     }
 }
 
@@ -232,7 +160,9 @@ impl<'a> Simulator<'a> {
         let ttl_len = caches.iter().find_map(CacheSlot::ttl);
         let world = LiveWorld {
             caches,
-            dir: Directory::new(&env),
+            dir: env
+                .tracks_replicas()
+                .then(|| ReplicaDir::new(origins.len(), net.pops(), net.tree.nodes())),
         };
         Self {
             kernel: Kernel::new(&env, world, ttl_len, RNG_SEED),
@@ -487,47 +417,6 @@ mod tests {
     }
 
     #[test]
-    fn selection_is_independent_of_replica_dir_order() {
-        // The ordering contract: selection depends on the directory only
-        // as a *set*. On a tree past `MAX_MASK_TREE` the directory really
-        // is an order-carrying Vec, so adversarially permuting every entry
-        // list mid-run must not change a single metric bit. (The bitmask
-        // directory is canonical by construction.)
-        let net = invariant::wide_tree_net();
-        let origins = vec![1u16; 8];
-        let sizes = vec![1u32; 8];
-        // Interleaved requests from neighbouring leaves so objects are
-        // cached at several equal-cost nodes and ties actually occur.
-        let reqs: Vec<Request> = (0..64u64)
-            .map(|i| req((i % 2) as u16, (i % 4) as u16, (i % 8) as u32))
-            .collect();
-        let mid = reqs.len() / 2;
-        let mut plain = sim_with(&net, DesignKind::IcnNr, &origins, &sizes);
-        plain.run(&reqs);
-        let want = plain.metrics().clone();
-        for flavor in 0..3u64 {
-            let mut sim = sim_with(&net, DesignKind::IcnNr, &origins, &sizes);
-            sim.run(&reqs[..mid]);
-            let Directory::Lists(lists) = &mut sim.kernel.world.dir else {
-                panic!("a 255-node tree keeps the Vec directory");
-            };
-            assert!(lists.iter().any(|dir| dir.len() > 1), "nothing to permute");
-            for (o, dir) in lists.iter_mut().enumerate() {
-                match flavor {
-                    0 => dir.reverse(),
-                    1 => {
-                        let n = dir.len().max(1);
-                        dir.rotate_left(o % n);
-                    }
-                    _ => dir.sort_unstable_by_key(|&n| u32::MAX - n),
-                }
-            }
-            let got = sim.run(&reqs[mid..]).clone();
-            assert_eq!(want, got, "shuffle flavor {flavor} changed the outcome");
-        }
-    }
-
-    #[test]
     fn infinite_budget_never_evicts() {
         let net = two_pop_net();
         let origins: Vec<u16> = vec![1; 50];
@@ -619,19 +508,20 @@ mod tests {
 
     #[test]
     fn live_directory_survives_ttl_crashes_and_corruption() {
-        // Both directory representations — bitmask, and the Vec that trees
-        // past `MAX_MASK_TREE` take — must stay exact under every way a
-        // replica can disappear.
-        for (wide, (net, trace, origins)) in [
-            (false, invariant::fixture()),
-            (true, invariant::wide_tree_fixture()),
+        // The directory must stay exact under every way a replica can
+        // disappear, on a one-word (15-node) and a four-word (255-node)
+        // tree.
+        for (words, (net, trace, origins)) in [
+            (1, invariant::fixture()),
+            (4, invariant::wide_tree_fixture()),
         ] {
             for (label, cfg) in invariant::stress_configs(DesignKind::IcnNr) {
                 let mut sim = Simulator::new(&net, cfg, &origins, &trace.object_sizes);
+                let dir = sim.kernel.world.dir.as_ref();
                 assert_eq!(
-                    matches!(sim.kernel.world.dir, Directory::Lists(_)),
-                    wide,
-                    "{label}: wrong directory representation"
+                    dir.map(ReplicaDir::words_per_group),
+                    Some(words),
+                    "{label}: words per directory group"
                 );
                 let m = sim.run(&trace.requests);
                 assert!(m.cache_hits > 0, "{label}: fixture never hit a cache");

@@ -3,10 +3,15 @@
 //! simulator has already run twice, so every transitive callee is covered.
 //! The count is per thread: parallel tests cannot pollute it.
 //!
+//! The replica directory is one flat bitset sized at construction, so
+//! ICN-NR on 255-node trees (four words per PoP group) is asserted along
+//! with the 15-node default.
+//!
 //! Not asserted, because they allocate (third-run counts on this trace):
-//! EDGE-Norm 1, Norm-Coop 2, Double-Budget-Coop 5; ICN-NR on a 255-node
-//! tree (the `Directory::Lists` fallback) 2; ICN-NR under TTL (700 ticks)
-//! 4, FIFO 3, TinyLFU 29, Prob (50 %) 22 and probabilistic insertion 24.
+//! EDGE-Norm 1, Norm-Coop 2, Double-Budget-Coop 5; ICN-NR under TTL (700
+//! ticks) 4, FIFO 3, TinyLFU 29, Prob (50 %) 22 and probabilistic
+//! insertion 24. ICN-NR on 127-node trees allocates too: this short trace
+//! does not fill its LRUs, so their slabs still grow on the third run.
 //! LFU allocates 3,893 times per 110k requests, because its `BTreeSet`
 //! eviction order allocates nodes as it churns: a finding, not yet fixed.
 
@@ -49,9 +54,13 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static COUNTING: Counting = Counting;
 
-/// Asserts that the third run of one Abilene trace allocates nothing under each config.
-fn assert_warm_runs_allocate_nothing(cfgs: impl IntoIterator<Item = ExperimentConfig>) {
-    let net = Network::new(pop::abilene(), AccessTree::new(2, 3));
+/// Asserts that the third run of one trace on Abilene with `tree` access
+/// trees allocates nothing under each config.
+fn assert_warm_runs_allocate_nothing(
+    tree: AccessTree,
+    cfgs: impl IntoIterator<Item = ExperimentConfig>,
+) {
+    let net = Network::new(pop::abilene(), tree);
     let populations = &net.core.populations;
     let trace = Trace::synthesize(Region::Us.config(0.1), populations, net.leaves_per_pop());
     let origins = assign_origins(
@@ -88,7 +97,16 @@ fn warm_lru_runs_allocate_nothing() {
         TwoLevels,
         TwoLevelsCoop,
     ];
-    assert_warm_runs_allocate_nothing(designs.map(ExperimentConfig::baseline));
+    assert_warm_runs_allocate_nothing(
+        AccessTree::new(2, 3),
+        designs.map(ExperimentConfig::baseline),
+    );
+}
+
+#[test]
+fn warm_wide_tree_nr_runs_allocate_nothing() {
+    let nr = ExperimentConfig::baseline(DesignKind::IcnNr);
+    assert_warm_runs_allocate_nothing(AccessTree::new(2, 7), [nr]);
 }
 
 #[test]
@@ -98,5 +116,5 @@ fn warm_faulted_runs_allocate_nothing() {
         ..ExperimentConfig::baseline(design)
     };
     let designs = [DesignKind::IcnNr, DesignKind::IcnSp, DesignKind::Edge];
-    assert_warm_runs_allocate_nothing(designs.map(faulted));
+    assert_warm_runs_allocate_nothing(AccessTree::new(2, 3), designs.map(faulted));
 }

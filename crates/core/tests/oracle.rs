@@ -547,18 +547,20 @@ fn faults_and_corruption_match() {
 }
 
 #[test]
-fn wide_trees_match_through_the_vec_directory() {
-    // 255 routers per PoP: past the 128 a rank mask indexes, so ICN-NR
-    // runs on the simulator's `Directory::Lists` (asserted next to the
-    // directory itself, in `sim.rs`).
+fn wide_trees_match_at_two_and_four_directory_words() {
+    // 127 and 255 routers per PoP: two and four 64-bit words per PoP group
+    // of the simulator's replica directory (asserted next to the directory
+    // itself, in `sim.rs`), where the default tree takes one.
     let pair = PopGraph::new(
         "pair",
         vec!["A".into(), "B".into()],
         vec![2_000, 1_000],
         vec![(0, 1)],
     );
-    let net = Network::new(pair, AccessTree::new(2, 7));
-    assert_eq!(net.nodes_per_pop(), 255);
-    let knobs = [BASELINE, CAPACITY, TTL, FAULTED];
-    check(&net, &[DesignKind::IcnNr], &knobs);
+    for (depth, nodes) in [(6, 127), (7, 255)] {
+        let net = Network::new(pair.clone(), AccessTree::new(2, depth));
+        assert_eq!(net.nodes_per_pop(), nodes);
+        let knobs = [BASELINE, CAPACITY, TTL, FAULTED];
+        check(&net, &[DesignKind::IcnNr], &knobs);
+    }
 }

@@ -53,6 +53,10 @@ cargo test -q --release -p icn-core --lib latency::
 echo "=== release-profile crypto known-answer tests (the unrolled SHA-256 kernel as optimized code)"
 cargo test -q --release -p idicn --lib crypto::
 
+echo "=== release-profile directory and cache tests (the own-PoP prune rests on f64 rounding)"
+cargo test -q --release -p icn-core --lib dir::
+cargo test -q --release -p icn-cache
+
 # Every experiment runs through the one `icn` binary (default features).
 icn() { cargo run --release -q -p icn-bench -- "$@"; }
 tmp="$(mktemp -d /tmp/icn-check.XXXXXX)"
