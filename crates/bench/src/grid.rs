@@ -1,14 +1,14 @@
 //! The two shapes most experiments share, each written once: the
-//! scenario × design × variant matrix (fig6, fig7, table3, failures,
-//! disasters, dynamics) and the ICN-NR − EDGE gap table (fig8a–c, table4,
-//! fig9, fig10, ablations).
+//! scenario × design × variant matrix (fig6, fig7, table3, failures)
+//! and the ICN-NR − EDGE gap table (fig8a–c, table4, fig9, fig10,
+//! ablations).
 
 use crate::{RunOpts, Telemetry};
 use icn_core::config::ExperimentConfig;
 use icn_core::design::DesignKind;
 use icn_core::metrics::{Improvement, RunMetrics};
 use icn_core::sweep::{par_map, Scenario, SweepCell};
-use icn_topology::{pop, AccessTree, PopGraph};
+use icn_topology::{AccessTree, PopGraph};
 use icn_workload::origin::OriginPolicy;
 use icn_workload::trace::TraceConfig;
 use std::io::{self, Write};
@@ -36,14 +36,6 @@ pub fn specs_on(topos: &[PopGraph], opts: &RunOpts) -> Vec<Spec> {
         .iter()
         .map(|t| spec(t.clone(), opts, |_| ()))
         .collect()
-}
-
-/// The topologies a sweep covers: the paper's eight, or two under
-/// `--smoke`.
-pub fn topologies(opts: &RunOpts) -> Vec<PopGraph> {
-    let mut topos = pop::paper_topologies();
-    topos.truncate(if opts.smoke { 2 } else { topos.len() });
-    topos
 }
 
 /// Builds one scenario per spec over `opts.jobs` workers, in spec order.

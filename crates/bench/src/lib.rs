@@ -182,35 +182,6 @@ const EXPERIMENTS: &[Experiment] = &[
          locally; ICN-NR additionally detours to farther live replicas, so its\n\
          availability degrades slowest as the fault rate rises.",
     ),
-    experiment(
-        "disasters",
-        "",
-        sweeps::disasters,
-        "Reading: shared-risk groups and cascades dent *reachable* availability\n\
-         for every design — whole subtrees and core bundles go dark at once, and\n\
-         no routing can serve around a severed origin. Corruption splits the\n\
-         designs instead: ICN's self-certified names catch every poisoned replica\n\
-         (counted under 'NR caught', paid as re-fetch latency), so its correct\n\
-         availability equals its reachable availability, while EDGE serves the\n\
-         poison ('EDGE pois') and only its *correct* availability drops. The\n\
-         headline latency gap survives every shape.",
-    ),
-    experiment(
-        "dynamics",
-        "",
-        sweeps::dynamics,
-        "Reading: a positive cell means pervasive in-network caching (ICN-NR)\n\
-         beats edge-only caching by that many points of latency improvement.\n\
-         Content churn widens the gap — rotated ranks cold-start every cache,\n\
-         and interior nodes re-converge on the new heads faster — and TTL\n\
-         leases widen it most: expiry hits an edge-only deployment hardest,\n\
-         since every lapsed lease is a full trip to the origin rather than\n\
-         to a surviving interior replica.\n\
-         Admission filtering (TinyLFU) holds the gap near the LRU baseline.\n\
-         In every cell the gap stays modest, so the paper's claim — the\n\
-         incremental deployment keeps most of the gain — survives\n\
-         non-stationary demand.",
-    ),
     experiment("trace_gen", "", tools::trace_gen, ""),
     experiment("telemetry_check", "", tools::telemetry_check, ""),
     experiment("all", "", all, ""),
@@ -265,14 +236,12 @@ pub struct RunOpts {
     /// The subcommand.
     pub(crate) experiment: &'static Experiment,
     /// Trace volume as a fraction of the paper's: `SCALE` (default 0.25),
-    /// 0.02 under `--smoke`, `trace_gen --scale` (default 0.05).
+    /// or `trace_gen --scale` (default 0.05).
     pub(crate) scale: f64,
     /// Sweep workers: `JOBS`, default every core. Never moves a byte.
     pub(crate) jobs: usize,
     /// Cores available to this process.
     pub(crate) cores: usize,
-    /// `--smoke`: two topologies at 2% trace scale.
-    pub(crate) smoke: bool,
     /// The base workload: the Asia trace at `scale`, or `trace_gen`'s
     /// region trace with its workload flags applied.
     pub(crate) workload: TraceConfig,
@@ -323,7 +292,7 @@ impl RunOpts {
             .find(|e| e.name == name)
             .ok_or_else(|| format!("unknown experiment {name:?}\n{}", usage()))?;
         let (mut telemetry, mut trace, mut sidecar) = (None, None, None);
-        let (mut sample, mut smoke, mut live) = (telemetry::DEFAULT_TRACE_SAMPLE, false, false);
+        let (mut sample, mut live) = (telemetry::DEFAULT_TRACE_SAMPLE, false);
         let (mut region, mut topology) = (Region::Asia, pop::abilene());
         if name == "trace_gen" {
             scale = 0.05; // its own --scale, not SCALE
@@ -336,7 +305,6 @@ impl RunOpts {
                 ("--telemetry", _) => telemetry = Some(value()?.into()),
                 ("--trace", _) => trace = Some(value()?.into()),
                 ("--sample", _) => sample = parse(flag, value()?, |n: u64| n >= 1)?,
-                ("--smoke", "disasters" | "dynamics") => (smoke, scale) = (true, 0.02),
                 ("--region", "trace_gen") => region = parse_region(value()?)?,
                 ("--topology", "trace_gen") => topology = parse_topology(value()?)?,
                 ("--scale", "trace_gen") => scale = parse_scale(value()?)?,
@@ -368,7 +336,6 @@ impl RunOpts {
             scale,
             jobs,
             cores,
-            smoke,
             workload,
             topology,
             telemetry,
@@ -399,7 +366,6 @@ fn usage() -> String {
     let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
     format!(
         "usage: icn <{}> [--telemetry PATH] [--trace PATH] [--sample N]\n\
-         \x20      icn disasters|dynamics [--smoke]\n\
          \x20      icn trace_gen [--region us|europe|asia] [--scale F] [--topology NAME] \
          [--alpha F] [--skew F] [--seed N] [--irm]\n\
          \x20      icn telemetry_check <sidecar.json> | --live-metrics",
@@ -465,7 +431,7 @@ pub(crate) mod tests {
         // The empty environment: the paper-fraction default, every core.
         let opts = parse("fig6").unwrap();
         assert_eq!((opts.scale, opts.workload.requests), (0.25, 450_000));
-        assert_eq!((opts.jobs, opts.smoke), (opts.cores, false));
+        assert_eq!(opts.jobs, opts.cores);
         assert_eq!(opts.experiment.name, "fig6");
     }
 
@@ -547,15 +513,16 @@ pub(crate) mod tests {
             "fig6 --alpha 1",
             "fig6 --flight x",
             "all --smoke",
+            "failures --smoke",
+            "disasters",
+            "dynamics",
             "telemetry_check",
             "telemetry_check t.json --live-metrics",
             "trace_gen --live-metrics",
         ] {
             assert!(parse(bad).is_err(), "{bad:?} must be rejected");
         }
-        let opts = parse("disasters --smoke --telemetry t.json").unwrap();
-        assert_eq!((opts.smoke, opts.scale), (true, 0.02));
-        assert!(parse("dynamics --smoke").unwrap().smoke);
+        let opts = parse("failures --telemetry t.json").unwrap();
         assert_eq!(opts.telemetry, Some(PathBuf::from("t.json")));
         let sidecar = Some(PathBuf::from("t.json"));
         assert_eq!(parse("telemetry_check t.json").unwrap().sidecar, sidecar);

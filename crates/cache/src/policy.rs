@@ -63,19 +63,3 @@ pub enum PolicyKind {
     /// LRU with TinyLFU admission (4-bit count–min sketch with aging).
     TinyLfu,
 }
-
-impl PolicyKind {
-    /// Instantiates a boxed cache of this kind with the given capacity.
-    pub fn build(self, capacity: usize) -> Box<dyn CachePolicy + Send> {
-        match self {
-            PolicyKind::Lru => Box::new(crate::lru::CompactLru::new(capacity)),
-            PolicyKind::Lfu => Box::new(crate::lfu::Lfu::new(capacity)),
-            PolicyKind::Fifo => Box::new(crate::fifo::Fifo::new(capacity)),
-            PolicyKind::Prob { admit_pct } => {
-                Box::new(crate::prob::ProbCache::new(capacity, admit_pct))
-            }
-            PolicyKind::Ttl { ttl } => Box::new(crate::ttl::Ttl::new(capacity, ttl as u64)),
-            PolicyKind::TinyLfu => Box::new(crate::tinylfu::TinyLfu::new(capacity)),
-        }
-    }
-}

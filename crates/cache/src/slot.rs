@@ -58,7 +58,7 @@ pub enum CacheSlot {
 
 impl CacheSlot {
     /// Builds a slot holding a concrete policy of `kind` with `capacity`
-    /// entries. Mirrors [`PolicyKind::build`] variant-for-variant.
+    /// entries.
     #[must_use]
     pub fn build(kind: PolicyKind, capacity: usize) -> Self {
         match kind {
@@ -253,14 +253,13 @@ impl CacheSlot {
 mod tests {
     use super::*;
 
-    /// Deterministic op mix driving a slot and the equivalent boxed
-    /// trait object in lockstep: the enum must mirror the trait
-    /// behaviour exactly (same hits, same evictions, same lengths).
-    fn drive_equivalence(kind: PolicyKind) {
-        let capacity = 8;
-        let mut slot = CacheSlot::build(kind, capacity);
-        let mut boxed = kind.build(capacity);
-        assert_eq!(slot.capacity(), boxed.capacity());
+    /// Deterministic op mix driving a slot of `kind` and `boxed`, the
+    /// same concrete policy behind the trait, in lockstep: the enum must
+    /// mirror the trait behaviour exactly (same hits, same evictions,
+    /// same lengths).
+    fn drive_equivalence(kind: PolicyKind, mut boxed: Box<dyn CachePolicy>) {
+        let mut slot = CacheSlot::build(kind, boxed.capacity());
+        assert_eq!(slot.capacity(), 8);
         let mut state = 0x9e37_79b9_7f4a_7c15u64;
         for step in 0..4_000u64 {
             // SplitMix64 step: deterministic, no external RNG needed.
@@ -303,32 +302,34 @@ mod tests {
 
     #[test]
     fn lru_slot_mirrors_boxed_policy() {
-        drive_equivalence(PolicyKind::Lru);
+        drive_equivalence(PolicyKind::Lru, Box::new(CompactLru::new(8)));
     }
 
     #[test]
     fn fifo_slot_mirrors_boxed_policy() {
-        drive_equivalence(PolicyKind::Fifo);
+        drive_equivalence(PolicyKind::Fifo, Box::new(Fifo::new(8)));
     }
 
     #[test]
     fn lfu_slot_mirrors_boxed_policy() {
-        drive_equivalence(PolicyKind::Lfu);
+        drive_equivalence(PolicyKind::Lfu, Box::new(Lfu::new(8)));
     }
 
     #[test]
     fn prob_slot_mirrors_boxed_policy() {
-        drive_equivalence(PolicyKind::Prob { admit_pct: 70 });
+        let kind = PolicyKind::Prob { admit_pct: 70 };
+        drive_equivalence(kind, Box::new(ProbCache::new(8, 70)));
     }
 
     #[test]
     fn ttl_slot_mirrors_boxed_policy() {
-        drive_equivalence(PolicyKind::Ttl { ttl: 24 });
+        let kind = PolicyKind::Ttl { ttl: 24 };
+        drive_equivalence(kind, Box::new(Ttl::new(8, 24)));
     }
 
     #[test]
     fn tinylfu_slot_mirrors_boxed_policy() {
-        drive_equivalence(PolicyKind::TinyLfu);
+        drive_equivalence(PolicyKind::TinyLfu, Box::new(TinyLfu::new(8)));
     }
 
     #[test]

@@ -15,11 +15,7 @@
 //!   requests;
 //! * **replica corruption** — a cached copy flips to poisoned for a
 //!   window; self-certifying (ICN) designs detect and re-fetch, EDGE
-//!   designs serve the poisoned bytes (see `Simulator`);
-//! * **correlated disasters** ([`DisasterConfig`]) — topology-derived
-//!   shared-risk groups ([`FaultGroups`]) fail as a unit, outage durations
-//!   follow a seeded geometric MTTR instead of a fixed span, and saturated
-//!   degraded origins shed load onto their core neighbors.
+//!   designs serve the poisoned bytes (see `Simulator`).
 //!
 //! Everything is a **pure function of a `u64` seed and the
 //! [`FaultConfig`]** — never wall clock, never a global RNG. A
@@ -28,63 +24,13 @@
 //! rate, so two schedules built from identical inputs agree on every query
 //! regardless of query order, thread count, or construction count. This is
 //! what lets the sweep engine's 1-vs-N bit-identity guarantee extend to
-//! faulted runs (see `tests/determinism.rs`). Correlated extensions keep
-//! the contract: a group event is one draw on the *group* entity, a
-//! geometric outage length is one extra draw keyed on the event window,
-//! and cascade propagation is evaluated once per window transition from
-//! state that is itself a pure function of the processed request prefix.
+//! faulted runs (see `tests/determinism.rs`).
 //!
 //! [`CapacityTracker`]: crate::capacity::CapacityTracker
 
 use crate::capacity::ServingCapacity;
-use icn_topology::Network;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-
-/// Correlated-disaster parameters layered on top of the independent
-/// per-entity fault rates of [`FaultConfig`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct DisasterConfig {
-    /// Probability that a shared-risk group (a PoP subtree or a core-link
-    /// bundle, see [`FaultGroups`]) fails as a unit in a window.
-    pub group_rate: f64,
-    /// Mean outage length of a group event in windows (geometric MTTR,
-    /// >= 1, capped at [`MAX_OUTAGE_WINDOWS`]).
-    pub group_mttr_windows: u32,
-    /// Draw *independent* node/link outage durations from the same seeded
-    /// geometric (mean = the configured `*_outage_windows`) instead of a
-    /// fixed span — repair takes variable time, like real operations.
-    pub geometric_repair: bool,
-    /// When a degraded origin PoP saturates its capacity window, its core
-    /// neighbors inherit the shed load (become degraded) in the next
-    /// window — failures compound instead of staying local.
-    pub cascade_overload: bool,
-}
-
-impl DisasterConfig {
-    /// A disaster layer that never fires; adding it to a config changes
-    /// nothing (asserted by `tests/fault_determinism.rs`).
-    pub fn zero() -> Self {
-        Self {
-            group_rate: 0.0,
-            group_mttr_windows: 1,
-            geometric_repair: false,
-            cascade_overload: false,
-        }
-    }
-
-    /// The full correlated model at group-event probability `rate`:
-    /// shared-risk groups with a 4-window mean MTTR, geometric repair for
-    /// independent faults, and cascading origin overload.
-    pub fn full(rate: f64) -> Self {
-        Self {
-            group_rate: rate,
-            group_mttr_windows: 4,
-            geometric_repair: true,
-            cascade_overload: true,
-        }
-    }
-}
 
 /// Parameters of one deterministic fault schedule.
 ///
@@ -103,22 +49,17 @@ pub struct FaultConfig {
     /// Probability that a cache-equipped router crashes in a window.
     pub node_crash_rate: f64,
     /// Windows a crashed node stays down (including the crash window).
-    /// With [`DisasterConfig::geometric_repair`] this is the geometric
-    /// *mean* instead of a fixed span.
     pub node_outage_windows: u32,
     /// Probability that a link fails in a window.
     pub link_failure_rate: f64,
     /// Windows a failed link stays down (including the failure window).
-    /// With [`DisasterConfig::geometric_repair`] this is the geometric
-    /// *mean* instead of a fixed span.
     pub link_outage_windows: u32,
     /// Probability that an origin PoP is degraded in a window.
     pub origin_degraded_rate: f64,
     /// Windows a degraded origin stays degraded (including the event
     /// window, >= 1). [`FaultConfig::zero`] and [`FaultConfig::uniform`]
     /// keep the historical span of 1 (degradation as a transient load
-    /// condition); disaster scenarios raise it to model slow origin
-    /// recovery.
+    /// condition); raise it to model slow origin recovery.
     pub origin_degraded_windows: u32,
     /// Serving capacity of a *degraded* origin (healthy origins are
     /// infinite). Reuses the §5.1 capacity model: per-window counters
@@ -130,8 +71,6 @@ pub struct FaultConfig {
     /// re-fetch); others serve the poisoned object and count an integrity
     /// failure. See `RunMetrics::corrupt_served` / `corrupt_detected`.
     pub corruption_rate: f64,
-    /// Correlated-disaster layer; `None` keeps the independent model.
-    pub disaster: Option<DisasterConfig>,
 }
 
 /// A rejected [`FaultConfig`] field, reported by [`FaultConfig::validate`].
@@ -190,7 +129,6 @@ impl FaultConfig {
                 window: 1_000,
             },
             corruption_rate: 0.0,
-            disaster: None,
         }
     }
 
@@ -212,7 +150,6 @@ impl FaultConfig {
                 window: 1_000,
             },
             corruption_rate: 0.0,
-            disaster: None,
         }
     }
 
@@ -222,7 +159,6 @@ impl FaultConfig {
             && self.link_failure_rate <= 0.0
             && self.origin_degraded_rate <= 0.0
             && self.corruption_rate <= 0.0
-            && self.disaster.is_none_or(|d| d.group_rate <= 0.0)
     }
 
     /// Checks every rate is a finite probability in `[0, 1]` and every
@@ -253,10 +189,6 @@ impl FaultConfig {
         window("link_outage_windows", self.link_outage_windows)?;
         window("origin_degraded_windows", self.origin_degraded_windows)?;
         window("degraded_origin.window", self.degraded_origin.window)?;
-        if let Some(d) = self.disaster {
-            rate("disaster.group_rate", d.group_rate)?;
-            window("disaster.group_mttr_windows", d.group_mttr_windows)?;
-        }
         Ok(())
     }
 }
@@ -265,16 +197,7 @@ impl FaultConfig {
 const SALT_NODE: u64 = 0x6e6f_6465_0000_0001; // "node"
 const SALT_LINK: u64 = 0x6c69_6e6b_0000_0002; // "link"
 const SALT_ORIGIN: u64 = 0x6f72_6967_0000_0003; // "orig"
-const SALT_GROUP: u64 = 0x6772_6f75_0000_0004; // "grou"
-const SALT_DURATION: u64 = 0x6475_7261_0000_0005; // "dura"
 const SALT_CORRUPT: u64 = 0x636f_7272_0000_0006; // "corr"
-
-/// Hard cap on any geometric outage duration, in windows. Bounds the
-/// backward scan a `*_down` query performs (and keeps a pathological draw
-/// from parking an entity offline for a whole run): with the cap, "down in
-/// window `w`" only ever depends on events in the last
-/// `MAX_OUTAGE_WINDOWS` windows.
-pub const MAX_OUTAGE_WINDOWS: u64 = 64;
 
 /// SplitMix64 finalizer: a full-avalanche 64-bit mixer. Statistically
 /// strong enough to decorrelate adjacent (entity, window) draws; crucially
@@ -344,51 +267,30 @@ impl FaultSchedule {
             && self.draw(SALT_NODE, node as u64, window) < self.cfg.node_crash_rate
     }
 
-    /// True when `node` is down in `window` — a crash event fired recently
-    /// enough that its outage (fixed span, or geometric under
-    /// [`DisasterConfig::geometric_repair`]) still covers `window`.
+    /// True when `node` is down in `window`: a crash event fired recently
+    /// enough that its outage still covers `window`.
     pub fn node_down(&self, node: u32, window: u64) -> bool {
-        match self.cfg.disaster {
-            Some(d) if d.geometric_repair => self.down_geometric(
-                SALT_NODE,
-                node as u64,
-                window,
-                self.cfg.node_crash_rate,
-                self.cfg.node_outage_windows,
-            ),
-            _ => self.down_via(
-                SALT_NODE,
-                node as u64,
-                window,
-                self.cfg.node_crash_rate,
-                self.cfg.node_outage_windows,
-            ),
-        }
+        self.down_via(
+            SALT_NODE,
+            node as u64,
+            window,
+            self.cfg.node_crash_rate,
+            self.cfg.node_outage_windows,
+        )
     }
 
     /// True when `link` is down in `window`.
     pub fn link_down(&self, link: u32, window: u64) -> bool {
-        match self.cfg.disaster {
-            Some(d) if d.geometric_repair => self.down_geometric(
-                SALT_LINK,
-                link as u64,
-                window,
-                self.cfg.link_failure_rate,
-                self.cfg.link_outage_windows,
-            ),
-            _ => self.down_via(
-                SALT_LINK,
-                link as u64,
-                window,
-                self.cfg.link_failure_rate,
-                self.cfg.link_outage_windows,
-            ),
-        }
+        self.down_via(
+            SALT_LINK,
+            link as u64,
+            window,
+            self.cfg.link_failure_rate,
+            self.cfg.link_outage_windows,
+        )
     }
 
-    /// True when origin PoP `pop` is degraded in `window` (by a direct
-    /// degradation event; cascading overload is layered on top by the
-    /// simulator's fault state, since it depends on observed load).
+    /// True when origin PoP `pop` is degraded in `window`.
     pub fn origin_degraded(&self, pop: u16, window: u64) -> bool {
         self.down_via(
             SALT_ORIGIN,
@@ -396,34 +298,6 @@ impl FaultSchedule {
             window,
             self.cfg.origin_degraded_rate,
             self.cfg.origin_degraded_windows,
-        )
-    }
-
-    /// True when a group-failure *event* is drawn for `group` in exactly
-    /// `window` (the crash-flush trigger for the group's member nodes).
-    #[inline]
-    pub fn group_event(&self, group: u32, window: u64) -> bool {
-        match self.cfg.disaster {
-            Some(d) if d.group_rate > 0.0 => {
-                self.draw(SALT_GROUP, group as u64, window) < d.group_rate
-            }
-            _ => false,
-        }
-    }
-
-    /// True when shared-risk group `group` is down in `window`: a group
-    /// event fired recently enough that its geometric outage (mean
-    /// [`DisasterConfig::group_mttr_windows`]) still covers `window`.
-    pub fn group_down(&self, group: u32, window: u64) -> bool {
-        let Some(d) = self.cfg.disaster else {
-            return false;
-        };
-        self.down_geometric(
-            SALT_GROUP,
-            group as u64,
-            window,
-            d.group_rate,
-            d.group_mttr_windows,
         )
     }
 
@@ -438,21 +312,6 @@ impl FaultSchedule {
                 < self.cfg.corruption_rate
     }
 
-    /// Outage length (in windows, >= 1) of the event at
-    /// `(salt, entity, event_window)`: a seeded geometric with mean
-    /// `mean_windows` via inverse-CDF over one extra draw, capped at
-    /// [`MAX_OUTAGE_WINDOWS`]. Pure, like every other query.
-    fn event_duration(&self, salt: u64, entity: u64, event_window: u64, mean_windows: u32) -> u64 {
-        if mean_windows <= 1 {
-            return 1;
-        }
-        let u = self.draw(salt ^ SALT_DURATION, entity, event_window);
-        let p = 1.0 / mean_windows as f64;
-        // Inverse CDF of Geometric(p) on {1, 2, …}: ceil(ln(1-u)/ln(1-p)).
-        let d = ((1.0 - u).ln() / (1.0 - p).ln()).ceil();
-        (d as u64).clamp(1, MAX_OUTAGE_WINDOWS)
-    }
-
     #[inline]
     fn down_via(&self, salt: u64, entity: u64, window: u64, rate: f64, outage: u32) -> bool {
         if rate <= 0.0 {
@@ -462,135 +321,14 @@ impl FaultSchedule {
         let first = window.saturating_sub(span - 1);
         (first..=window).any(|w| self.draw(salt, entity, w) < rate)
     }
-
-    /// Like [`FaultSchedule::down_via`] but with per-event geometric
-    /// durations: scans the last [`MAX_OUTAGE_WINDOWS`] windows (the cap
-    /// bounds how far back an event can still matter) for an event whose
-    /// drawn duration reaches `window`.
-    fn down_geometric(&self, salt: u64, entity: u64, window: u64, rate: f64, mean: u32) -> bool {
-        if rate <= 0.0 {
-            return false;
-        }
-        let first = window.saturating_sub(MAX_OUTAGE_WINDOWS - 1);
-        (first..=window).any(|w| {
-            self.draw(salt, entity, w) < rate
-                && w + self.event_duration(salt, entity, w, mean) > window
-        })
-    }
-}
-
-/// Sentinel group id: the entity belongs to no shared-risk group.
-pub const NO_GROUP: u32 = u32::MAX;
-
-/// Topology-derived shared-risk groups: which entities fail together when
-/// a group-level event fires.
-///
-/// Two group families are derived from the [`Network`]:
-///
-/// * **PoP subtrees** — for every PoP `p` and every level-1 child `k` of
-///   its access-tree root, group `p * arity + k` covers every router in
-///   `k`'s subtree and every tree link inside it, including `k`'s uplink
-///   to the PoP root. A group event models a power/aggregation failure
-///   taking out that slice of the access network.
-/// * **core-link bundles** — group `pops * arity + p` covers every core
-///   link incident to PoP `p` (each core link therefore belongs to the
-///   bundles of both endpoints). A group event models a conduit cut or
-///   PoP-edge failure severing the PoP from the core.
-///
-/// The derivation is a pure function of the network shape, so equal
-/// topologies give equal groups on every thread — group membership never
-/// threatens the sweep engine's bit-identity guarantee.
-#[derive(Debug, Clone)]
-pub struct FaultGroups {
-    count: u32,
-    /// Per global router: its subtree group, or [`NO_GROUP`] for PoP
-    /// roots (the root belongs to every subtree's serving path, so
-    /// modeling it inside one child's risk group would be wrong).
-    node_group: Vec<u32>,
-    /// Per link id: the (up to two) groups the link belongs to, padded
-    /// with [`NO_GROUP`]. Tree links have one; core links belong to both
-    /// endpoints' bundles.
-    link_groups: Vec<[u32; 2]>,
-}
-
-impl FaultGroups {
-    /// Derives the shared-risk groups of `net`.
-    pub fn derive(net: &Network) -> Self {
-        let pops = net.pops();
-        let arity = net.tree.arity;
-        let tn = net.tree.nodes();
-        let count = pops * arity + pops;
-        let mut node_group = vec![NO_GROUP; net.node_count() as usize];
-        let mut link_groups = vec![[NO_GROUP; 2]; net.link_count() as usize];
-        // Level-1 ancestor (as a 0-based child index of the root) per tree
-        // index; the root itself has none.
-        let mut child_of = vec![NO_GROUP; tn as usize];
-        for t in 1..tn {
-            let mut cur = t;
-            while net.tree.level_of(cur) > 1 {
-                match net.tree.parent(cur) {
-                    Some(p) => cur = p,
-                    None => break,
-                }
-            }
-            // Children of the root are tree indices 1..=arity.
-            child_of[t as usize] = cur - 1;
-        }
-        for p in 0..pops {
-            for t in 1..tn {
-                let g = p * arity + child_of[t as usize];
-                let n = net.node(p, t);
-                node_group[n as usize] = g;
-                link_groups[net.tree_link(n) as usize] = [g, NO_GROUP];
-            }
-        }
-        for &(a, b) in net.core.edges() {
-            let l = net.core_link(a, b);
-            link_groups[l as usize] = [pops * arity + a, pops * arity + b];
-        }
-        Self {
-            count,
-            node_group,
-            link_groups,
-        }
-    }
-
-    /// Total number of groups (`pops × arity` subtrees + `pops` bundles).
-    pub fn count(&self) -> u32 {
-        self.count
-    }
-
-    /// The subtree group of router `node`, or [`NO_GROUP`] for PoP roots.
-    #[inline]
-    pub fn node_group(&self, node: u32) -> u32 {
-        self.node_group[node as usize]
-    }
-
-    /// The groups link `link` belongs to, padded with [`NO_GROUP`].
-    #[inline]
-    pub fn link_groups_of(&self, link: u32) -> [u32; 2] {
-        self.link_groups[link as usize]
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use icn_topology::{pop, AccessTree};
 
     fn sched(seed: u64, rate: f64) -> FaultSchedule {
         FaultSchedule::new(FaultConfig::uniform(seed, rate))
-    }
-
-    fn disaster_sched(seed: u64, group_rate: f64) -> FaultSchedule {
-        let mut cfg = FaultConfig::zero(seed);
-        cfg.disaster = Some(DisasterConfig {
-            group_rate,
-            group_mttr_windows: 4,
-            geometric_repair: false,
-            cascade_overload: false,
-        });
-        FaultSchedule::new(cfg)
     }
 
     #[test]
@@ -610,8 +348,6 @@ mod tests {
                 assert!(!s.link_down(e, w));
                 assert!(!s.origin_degraded(e as u16, w));
                 assert!(!s.node_crashes(e, w));
-                assert!(!s.group_down(e, w));
-                assert!(!s.group_event(e, w));
                 assert!(!s.replica_corrupted(e, e, w));
             }
         }
@@ -743,20 +479,6 @@ mod tests {
         let mut cfg = ok;
         cfg.origin_degraded_windows = 0;
         assert!(cfg.validate().is_err());
-        let mut cfg = ok;
-        cfg.disaster = Some(DisasterConfig {
-            group_rate: f64::NAN,
-            group_mttr_windows: 4,
-            geometric_repair: false,
-            cascade_overload: false,
-        });
-        assert!(matches!(
-            cfg.validate(),
-            Err(FaultConfigError::InvalidRate {
-                field: "disaster.group_rate",
-                ..
-            })
-        ));
     }
 
     #[test]
@@ -798,77 +520,6 @@ mod tests {
         assert!(extended, "no degradation event in 5000 windows");
     }
 
-    // ---- correlated disasters ----
-
-    #[test]
-    fn group_down_covers_the_event_and_respects_the_cap() {
-        let s = disaster_sched(21, 0.02);
-        let mut saw_event = false;
-        for w in 0..5_000u64 {
-            if s.group_event(3, w) {
-                saw_event = true;
-                assert!(s.group_down(3, w), "down in the event window");
-                // The cap bounds every outage.
-                assert!(
-                    !s.group_down(3, w + MAX_OUTAGE_WINDOWS)
-                        || (w + 1..=w + MAX_OUTAGE_WINDOWS).any(|v| s.group_event(3, v)),
-                    "outage at {w} exceeded MAX_OUTAGE_WINDOWS"
-                );
-            }
-        }
-        assert!(saw_event, "no group event in 5000 windows");
-    }
-
-    #[test]
-    fn geometric_durations_track_the_configured_mean() {
-        let mut cfg = FaultConfig::zero(77);
-        cfg.disaster = Some(DisasterConfig {
-            group_rate: 1.0, // every window has an event; measure durations
-            group_mttr_windows: 4,
-            geometric_repair: false,
-            cascade_overload: false,
-        });
-        let s = FaultSchedule::new(cfg);
-        let n = 20_000u64;
-        let total: u64 = (0..n).map(|w| s.event_duration(SALT_GROUP, 9, w, 4)).sum();
-        let mean = total as f64 / n as f64;
-        assert!((mean - 4.0).abs() < 0.15, "empirical MTTR {mean}");
-        // Durations are pure functions of the event window.
-        assert_eq!(
-            s.event_duration(SALT_GROUP, 9, 123, 4),
-            s.event_duration(SALT_GROUP, 9, 123, 4)
-        );
-    }
-
-    #[test]
-    fn geometric_repair_changes_outage_shape_not_events() {
-        let mut geo = FaultConfig::uniform(5, 0.05);
-        geo.disaster = Some(DisasterConfig {
-            group_rate: 0.0,
-            group_mttr_windows: 1,
-            geometric_repair: true,
-            cascade_overload: false,
-        });
-        let g = FaultSchedule::new(geo);
-        let f = sched(5, 0.05);
-        // Crash events are identical — only the repair time differs.
-        for w in 0..2_000u64 {
-            assert_eq!(g.node_crashes(7, w), f.node_crashes(7, w));
-        }
-        // Some outage lasts longer than the fixed 2-window span (the
-        // geometric tail), and every crash window is still down.
-        let mut longer = false;
-        for w in 0..20_000u64 {
-            if g.node_crashes(7, w) {
-                assert!(g.node_down(7, w));
-                if g.node_down(7, w + 2) && !g.node_crashes(7, w + 1) && !g.node_crashes(7, w + 2) {
-                    longer = true;
-                }
-            }
-        }
-        assert!(longer, "geometric repair never exceeded the fixed span");
-    }
-
     #[test]
     fn corruption_draws_are_per_replica_and_deterministic() {
         let mut cfg = FaultConfig::zero(31);
@@ -889,67 +540,5 @@ mod tests {
             s.replica_corrupted(3, 17, 999),
             s.replica_corrupted(3, 17, 999)
         );
-    }
-
-    #[test]
-    fn groups_cover_subtrees_and_core_bundles() {
-        let net = Network::new(pop::abilene(), AccessTree::new(2, 3));
-        let groups = FaultGroups::derive(&net);
-        let pops = net.pops();
-        let arity = net.tree.arity;
-        assert_eq!(groups.count(), pops * arity + pops);
-        for p in 0..pops {
-            // PoP roots belong to no group.
-            assert_eq!(groups.node_group(net.pop_root(p)), NO_GROUP);
-            // Every non-root router lands in one of its PoP's subtree
-            // groups, shared with its level-1 ancestor.
-            for t in 1..net.tree.nodes() {
-                let g = groups.node_group(net.node(p, t));
-                assert!(
-                    g >= p * arity && g < (p + 1) * arity,
-                    "group {g} of pop {p}"
-                );
-                // The uplink tree link shares the node's group.
-                let lg = groups.link_groups_of(net.tree_link(net.node(p, t)));
-                assert_eq!(lg[0], g);
-                assert_eq!(lg[1], NO_GROUP);
-            }
-            // All nodes under the same level-1 child share a group.
-            let child = net.node(p, 1);
-            for t in 1..net.tree.nodes() {
-                let mut cur = t;
-                while net.tree.level_of(cur) > 1 {
-                    cur = net.tree.parent(cur).unwrap_or(cur);
-                }
-                if cur == 1 {
-                    assert_eq!(groups.node_group(net.node(p, t)), groups.node_group(child));
-                }
-            }
-        }
-        // Core links belong to both endpoints' bundles.
-        for &(a, b) in net.core.edges() {
-            let lg = groups.link_groups_of(net.core_link(a, b));
-            assert_eq!(lg, [pops * arity + a, pops * arity + b]);
-        }
-    }
-
-    #[test]
-    fn zero_disaster_layer_is_invisible() {
-        let mut with = FaultConfig::uniform(9, 0.05);
-        with.disaster = Some(DisasterConfig::zero());
-        let a = FaultSchedule::new(with);
-        let b = sched(9, 0.05);
-        assert!(FaultConfig {
-            disaster: Some(DisasterConfig::zero()),
-            ..FaultConfig::zero(9)
-        }
-        .is_zero());
-        for w in 0..2_000u64 {
-            for e in 0..8u32 {
-                assert_eq!(a.node_down(e, w), b.node_down(e, w));
-                assert_eq!(a.link_down(e, w), b.link_down(e, w));
-                assert!(!a.group_down(e, w));
-            }
-        }
     }
 }

@@ -33,7 +33,7 @@ use crate::capacity::CapacityTracker;
 use crate::config::{ExperimentConfig, InsertionPolicy};
 use crate::costs::CostTable;
 use crate::design::{DesignSpec, Routing};
-use crate::fault::{FaultGroups, FaultSchedule, NO_GROUP};
+use crate::fault::FaultSchedule;
 use crate::instrument::SimObs;
 use crate::metrics::{RunMetrics, LATENCY_HIST_SCALE};
 use crate::shard::Frozen;
@@ -282,27 +282,12 @@ pub(crate) struct FaultState {
     /// Serving-capacity gate applied to *degraded* origin PoPs, reusing
     /// the §5.1 capacity model (indexed by PoP, not router).
     origin_capacity: CapacityTracker,
-    /// Topology-derived shared-risk groups (§ DESIGN.md "Correlated fault
-    /// model"); `None` unless the config carries a disaster layer with a
-    /// positive group rate, so independent-fault runs pay nothing.
-    groups: Option<FaultGroups>,
-    /// Per-group down state for the current window (scratch, parallel to
-    /// `groups`).
-    group_down: Vec<bool>,
-    /// PoPs degraded this window by cascading overload (scratch).
-    cascade: Vec<bool>,
 }
 
 impl FaultState {
     fn new(schedule: FaultSchedule, net: &Network) -> Self {
         let origin_capacity =
             CapacityTracker::new(schedule.config().degraded_origin, net.pops() as usize);
-        let groups = schedule
-            .config()
-            .disaster
-            .filter(|d| d.group_rate > 0.0)
-            .map(|_| FaultGroups::derive(net));
-        let group_count = groups.as_ref().map_or(0, |g| g.count() as usize);
         Self {
             schedule,
             window: u64::MAX,
@@ -312,35 +297,11 @@ impl FaultState {
             any_link_down: false,
             fault_active: false,
             origin_capacity,
-            groups,
-            group_down: vec![false; group_count],
-            cascade: vec![false; net.pops() as usize],
         }
     }
 
     /// Re-evaluates every entity's fault state for window `w`.
-    fn rebuild(&mut self, w: u64, net: &Network) {
-        // Cascading overload seeds are read off the *outgoing* window's
-        // state before it is overwritten: a degraded origin that actually
-        // saturated its capacity sheds load onto its core neighbors next
-        // window. Consecutive windows only — a cascade dies across a gap
-        // in the request stream, and a zero-rate schedule (never degraded,
-        // never saturated) can never seed one. The seed vector includes
-        // any prior cascade, so sustained overload compounds outward.
-        let cascading = self
-            .schedule
-            .config()
-            .disaster
-            .is_some_and(|d| d.cascade_overload);
-        if cascading {
-            let consecutive = self.window != u64::MAX && w == self.window + 1;
-            for q in 0..self.cascade.len() {
-                self.cascade[q] = consecutive
-                    && net.core.neighbors(q as u32).iter().any(|&p| {
-                        self.origin_degraded[p as usize] && self.origin_capacity.is_saturated(p)
-                    });
-            }
-        }
+    fn rebuild(&mut self, w: u64) {
         self.window = w;
         let mut any_node = false;
         for (n, down) in self.node_down.iter_mut().enumerate() {
@@ -356,41 +317,6 @@ impl FaultState {
         for (p, deg) in self.origin_degraded.iter_mut().enumerate() {
             *deg = self.schedule.origin_degraded(p as u16, w);
             any_origin |= *deg;
-        }
-        // Shared-risk overlay: every member of a down group is down,
-        // OR-ed over the independent per-entity state.
-        if let Some(groups) = &self.groups {
-            let mut any_group = false;
-            for g in 0..groups.count() {
-                let down = self.schedule.group_down(g, w);
-                self.group_down[g as usize] = down;
-                any_group |= down;
-            }
-            if any_group {
-                for (n, down) in self.node_down.iter_mut().enumerate() {
-                    let g = groups.node_group(n as u32);
-                    if g != NO_GROUP && self.group_down[g as usize] {
-                        *down = true;
-                        any_node = true;
-                    }
-                }
-                for (l, down) in self.link_down.iter_mut().enumerate() {
-                    for g in groups.link_groups_of(l as u32) {
-                        if g != NO_GROUP && self.group_down[g as usize] {
-                            *down = true;
-                            any_link = true;
-                        }
-                    }
-                }
-            }
-        }
-        if cascading {
-            for (q, deg) in self.origin_degraded.iter_mut().enumerate() {
-                if self.cascade[q] {
-                    *deg = true;
-                    any_origin = true;
-                }
-            }
         }
         self.any_link_down = any_link;
         self.fault_active = any_node || any_link || any_origin;
@@ -536,19 +462,12 @@ impl<W: World> Kernel<W> {
                     if !env.equipped[n as usize] {
                         continue;
                     }
-                    // A shared-risk group event is a power event for every
-                    // member: cold restart, same as an individual crash.
-                    let crashed = fault.schedule.node_crashes(n, step)
-                        || fault.groups.as_ref().is_some_and(|g| {
-                            let grp = g.node_group(n);
-                            grp != NO_GROUP && fault.schedule.group_event(grp, step)
-                        });
-                    if crashed {
+                    if fault.schedule.node_crashes(n, step) {
                         self.world.flush(env, n);
                     }
                 }
             }
-            fault.rebuild(w, env.net);
+            fault.rebuild(w);
         }
         self.fault = Some(fault);
     }
@@ -1236,7 +1155,7 @@ pub(crate) mod invariant {
     use super::{Env, World};
     use crate::config::ExperimentConfig;
     use crate::design::DesignKind;
-    use crate::fault::{DisasterConfig, FaultConfig};
+    use crate::fault::FaultConfig;
     use icn_topology::{pop, AccessTree, Network, PopGraph};
     use icn_workload::origin::{assign_origins, OriginPolicy};
     use icn_workload::trace::{Region, Trace};
@@ -1300,24 +1219,16 @@ pub(crate) mod invariant {
     }
 
     /// The configs of `tests/shard_determinism.rs::variants` that remove
-    /// replicas behind the request path's back: TTL expiry, crash flushes
-    /// with corruption evictions, and shared-risk group crashes.
+    /// replicas behind the request path's back: TTL expiry, and crash
+    /// flushes with corruption evictions.
     pub(crate) fn stress_configs(design: DesignKind) -> Vec<(&'static str, ExperimentConfig)> {
         let base = ExperimentConfig::baseline(design);
         let mut ttl = base.clone();
         ttl.policy = icn_cache::PolicyKind::Ttl { ttl: 700 };
-        let mut faulted = base.clone();
+        let mut faulted = base;
         let mut fc = FaultConfig::uniform(0xfa17, 0.02);
         fc.corruption_rate = 0.01;
         faulted.fault = Some(fc);
-        let mut disaster = base;
-        let mut dc = FaultConfig::uniform(0xd15a, 0.01);
-        dc.disaster = Some(DisasterConfig::full(0.02));
-        disaster.fault = Some(dc);
-        vec![
-            ("ttl", ttl),
-            ("faulted+corrupt", faulted),
-            ("disaster", disaster),
-        ]
+        vec![("ttl", ttl), ("faulted+corrupt", faulted)]
     }
 }

@@ -383,10 +383,9 @@ impl World for LaneWorld {
 }
 
 /// One PoP's kernel plus the epoch plumbing around it. The capacity and
-/// fault models inside the kernel are the lane's private views
-/// (documented deviations: per-lane counters, and cascade seeding fed by
-/// them); the fault schedule itself is pure, so every lane materializes
-/// identical node/link/origin state.
+/// fault models inside the kernel are the lane's private views (a
+/// documented deviation: per-lane counters); the fault schedule itself is
+/// pure, so every lane materializes identical node/link/origin state.
 struct Lane {
     kernel: Kernel<LaneWorld>,
     /// This lane's slice of the epoch: `(global request idx, request)`.

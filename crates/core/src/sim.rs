@@ -847,114 +847,6 @@ mod tests {
         }
 
         #[test]
-        fn zero_disaster_layer_is_bit_identical_to_no_fault_run() {
-            // A disaster layer with zero rates (and zero corruption) must
-            // not perturb a single bit of any design's run.
-            let net = two_pop_net();
-            let origins = vec![1u16; 8];
-            let sizes = vec![1u32; 8];
-            let reqs: Vec<Request> = (0..200).map(|i| req(0, (i % 4) as u16, i % 8)).collect();
-            for design in [DesignKind::Edge, DesignKind::IcnSp, DesignKind::IcnNr] {
-                let mut plain = sim_with(&net, design, &origins, &sizes);
-                let base = plain.run(&reqs).clone();
-                let mut cfg = ExperimentConfig::baseline(design);
-                cfg.f_fraction = 0.5;
-                cfg.budget_policy = icn_cache::budget::BudgetPolicy::Uniform;
-                cfg.fault = Some(FaultConfig {
-                    disaster: Some(crate::fault::DisasterConfig {
-                        group_rate: 0.0,
-                        group_mttr_windows: 4,
-                        geometric_repair: false,
-                        cascade_overload: true,
-                    }),
-                    ..FaultConfig::zero(0xd15a)
-                });
-                let mut faulted = Simulator::new(&net, cfg, &origins, &sizes);
-                let m = faulted.run(&reqs).clone();
-                assert_eq!(base, m, "{design:?}: zero disaster layer perturbed the run");
-                assert_eq!(m.corrupt_served, 0);
-                assert_eq!(m.corrupt_detected, 0);
-                assert_eq!(m.correct_availability_pct(), 100.0);
-            }
-        }
-
-        #[test]
-        fn certain_group_failure_takes_down_every_subtree_and_bundle() {
-            // group_rate = 1: every PoP subtree and every core bundle is
-            // down in every window. No router can serve or store, no core
-            // link is live, and every leaf's uplink is dead — total
-            // blackout.
-            let net = two_pop_net();
-            let origins = vec![1u16; 4];
-            let sizes = vec![1u32; 4];
-            let mut cfg = ExperimentConfig::baseline(DesignKind::IcnNr);
-            cfg.f_fraction = 0.5;
-            cfg.budget_policy = icn_cache::budget::BudgetPolicy::Uniform;
-            cfg.fault = Some(FaultConfig {
-                disaster: Some(crate::fault::DisasterConfig {
-                    group_rate: 1.0,
-                    group_mttr_windows: 1,
-                    geometric_repair: false,
-                    cascade_overload: false,
-                }),
-                ..FaultConfig::zero(17)
-            });
-            let mut sim = Simulator::new(&net, cfg, &origins, &sizes);
-            let m = sim.run(&[req(0, 0, 0), req(0, 1, 1), req(1, 0, 2)]);
-            assert_eq!(m.failed_requests, 3, "a total disaster fails everything");
-            assert_eq!(m.availability_pct(), 0.0);
-        }
-
-        #[test]
-        fn cascading_overload_spreads_saturation_to_core_neighbors() {
-            // Find a seed where pop 1 (the only core neighbor of pop 0) is
-            // degraded in windows 0 and 1 while pop 0 is not — any pop-0
-            // degradation in the test must then come from the cascade.
-            let degraded_cfg = |seed: u64, cascade: bool| FaultConfig {
-                window: 2,
-                origin_degraded_rate: 0.5,
-                degraded_origin: ServingCapacity {
-                    per_node: 1,
-                    window: 2,
-                },
-                disaster: Some(crate::fault::DisasterConfig {
-                    group_rate: 0.0,
-                    group_mttr_windows: 1,
-                    geometric_repair: false,
-                    cascade_overload: cascade,
-                }),
-                ..FaultConfig::zero(seed)
-            };
-            let seed = (0..1_000_000u64)
-                .find(|&s| {
-                    let sch = FaultSchedule::new(degraded_cfg(s, true));
-                    (0..2).all(|w| sch.origin_degraded(1, w) && !sch.origin_degraded(0, w))
-                })
-                .expect("no seed with the wanted degradation pattern");
-            let net = two_pop_net();
-            // Objects 0..2 owned by pop 1; objects 2..4 owned by pop 0.
-            let origins = vec![1u16, 1, 0, 0];
-            let sizes = vec![1u32; 4];
-            // Window 0: two requests saturate degraded pop 1 (capacity 1,
-            // one fails). Window 1: pop 0 inherits the shed load via the
-            // cascade, so its second serve fails too.
-            let reqs = [req(0, 0, 0), req(0, 1, 0), req(0, 0, 2), req(0, 1, 2)];
-            let mut cfg = ExperimentConfig::baseline(DesignKind::NoCache);
-            cfg.fault = Some(degraded_cfg(seed, true));
-            let mut sim = Simulator::new(&net, cfg, &origins, &sizes);
-            let m = sim.run(&reqs).clone();
-            assert_eq!(m.failed_requests, 2, "cascade saturates pop 0 in window 1");
-
-            // Control: identical schedule without the cascade rule — pop 0
-            // stays healthy and serves both window-1 requests.
-            let mut cfg = ExperimentConfig::baseline(DesignKind::NoCache);
-            cfg.fault = Some(degraded_cfg(seed, false));
-            let mut control = Simulator::new(&net, cfg, &origins, &sizes);
-            let c = control.run(&reqs).clone();
-            assert_eq!(c.failed_requests, 1, "without cascade only pop 1 sheds");
-        }
-
-        #[test]
         fn corruption_is_served_by_edge_but_detected_by_icn() {
             let net = two_pop_net();
             let origins = vec![1u16; 4];

@@ -63,19 +63,30 @@ fn parallel_sweep_is_bit_identical_to_sequential() {
     // worker count. One cell per Figure-6 design over a small scenario,
     // compared slot-by-slot between a 1-worker (sequential path) run and
     // runs at several worker counts (including more workers than cells on
-    // the tail, to exercise the clamp).
+    // the tail, to exercise the clamp). ICN-NR and EDGE also run under a
+    // clock-bearing policy (TTL, with the kernel's expiry queue) and a
+    // sketch-bearing one (TinyLFU admission).
     let s = Scenario::build(
         pop::abilene(),
         AccessTree::new(2, 3),
         Region::Us.config(0.005),
         OriginPolicy::PopulationProportional,
     );
+    let policies = [
+        icn_cache::PolicyKind::Ttl { ttl: 700 },
+        icn_cache::PolicyKind::TinyLfu,
+    ];
+    let policy_cells = policies.into_iter().flat_map(|policy| {
+        [DesignKind::IcnNr, DesignKind::Edge].map(|d| ExperimentConfig {
+            policy,
+            ..ExperimentConfig::baseline(d)
+        })
+    });
     let cells: Vec<SweepCell<'_>> = DesignKind::figure6_designs()
         .iter()
-        .map(|&d| SweepCell {
-            scenario: &s,
-            cfg: ExperimentConfig::baseline(d),
-        })
+        .map(|&d| ExperimentConfig::baseline(d))
+        .chain(policy_cells)
+        .map(|cfg| SweepCell { scenario: &s, cfg })
         .collect();
     let sequential = run_cells(&cells, 1);
     for jobs in [2, 4, 64] {
@@ -84,89 +95,20 @@ fn parallel_sweep_is_bit_identical_to_sequential() {
         for (i, ((seq_imp, seq_run), (par_imp, par_run))) in
             sequential.iter().zip(&parallel).enumerate()
         {
-            let design = cells[i].cfg.design;
+            let cell = format!("{:?}/{:?}", cells[i].cfg.design, cells[i].cfg.policy);
             assert_eq!(
                 seq_imp.latency_pct.to_bits(),
                 par_imp.latency_pct.to_bits(),
-                "{design:?} (jobs={jobs}): latency improvement must match bitwise"
+                "{cell} (jobs={jobs}): latency improvement must match bitwise"
             );
-            assert_eq!(seq_imp, par_imp, "{design:?} (jobs={jobs}): Improvement");
+            assert_eq!(seq_imp, par_imp, "{cell} (jobs={jobs}): Improvement");
             assert_eq!(
                 seq_run.latency_hist, par_run.latency_hist,
-                "{design:?} (jobs={jobs}): latency histogram"
+                "{cell} (jobs={jobs}): latency histogram"
             );
-            assert_eq!(seq_run, par_run, "{design:?} (jobs={jobs}): RunMetrics");
+            assert_eq!(seq_run, par_run, "{cell} (jobs={jobs}): RunMetrics");
         }
     }
-}
-
-#[test]
-fn parallel_dynamics_sweep_is_bit_identical_to_sequential() {
-    // The non-stationary extension of the invariant above: workload
-    // dynamics (diurnal cycles, flash crowds, churn) and the TTL expiry
-    // queue are pure functions of the trace seed and request index, so a
-    // dynamics cell swept under any worker count must reproduce the
-    // sequential bytes. One scenario per dynamic, each evaluated under a
-    // clock-bearing policy (TTL) and a sketch-bearing one (TinyLFU).
-    use icn_workload::dynamics::DynamicsConfig;
-
-    let mut trace_cfg = Region::Us.config(0.005);
-    let requests = trace_cfg.requests;
-    let scenarios: Vec<Scenario> = [
-        DynamicsConfig::diurnal(requests),
-        DynamicsConfig::flash(requests),
-        DynamicsConfig::churn(requests),
-    ]
-    .into_iter()
-    .map(|d| {
-        trace_cfg.dynamics = Some(d);
-        Scenario::build(
-            pop::abilene(),
-            AccessTree::new(2, 3),
-            trace_cfg.clone(),
-            OriginPolicy::PopulationProportional,
-        )
-    })
-    .collect();
-    let policies = [
-        icn_cache::PolicyKind::Ttl {
-            ttl: (requests as u64 / 8).max(1) as u32,
-        },
-        icn_cache::PolicyKind::TinyLfu,
-    ];
-    let cells: Vec<SweepCell<'_>> = scenarios
-        .iter()
-        .flat_map(|s| {
-            policies.into_iter().flat_map(move |policy| {
-                [DesignKind::IcnNr, DesignKind::Edge].map(move |design| {
-                    let mut cfg = ExperimentConfig::baseline(design);
-                    cfg.policy = policy;
-                    SweepCell { scenario: s, cfg }
-                })
-            })
-        })
-        .collect();
-    let sequential = run_cells(&cells, 1);
-    for jobs in [2, 4] {
-        let parallel = run_cells(&cells, jobs);
-        assert_eq!(sequential.len(), parallel.len());
-        for (i, ((seq_imp, seq_run), (par_imp, par_run))) in
-            sequential.iter().zip(&parallel).enumerate()
-        {
-            assert_eq!(
-                seq_imp.latency_pct.to_bits(),
-                par_imp.latency_pct.to_bits(),
-                "cell {i} (jobs={jobs}): latency improvement must match bitwise"
-            );
-            assert_eq!(seq_run, par_run, "cell {i} (jobs={jobs}): RunMetrics");
-        }
-    }
-    // The dynamics actually differ from each other (the traces are not
-    // accidentally identical): compare the TTL/ICN-NR cell across the
-    // three scenarios.
-    let per_scenario = policies.len() * 2;
-    assert_ne!(sequential[0].1, sequential[per_scenario].1);
-    assert_ne!(sequential[per_scenario].1, sequential[2 * per_scenario].1);
 }
 
 #[test]

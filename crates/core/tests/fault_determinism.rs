@@ -7,35 +7,21 @@
 use icn_core::capacity::ServingCapacity;
 use icn_core::config::ExperimentConfig;
 use icn_core::design::DesignKind;
-use icn_core::fault::{DisasterConfig, FaultConfig, FaultSchedule};
+use icn_core::fault::{FaultConfig, FaultSchedule};
 use icn_core::sweep::{run_cells, Scenario, SweepCell};
 use icn_topology::{pop, AccessTree};
 use icn_workload::origin::OriginPolicy;
 use icn_workload::trace::TraceConfig;
 use proptest::prelude::*;
 
-fn disaster_configs() -> impl Strategy<Value = Option<DisasterConfig>> {
-    prop_oneof![
-        Just(None),
-        (0.0f64..0.3, 1u32..8, 0u8..4).prop_map(|(group_rate, group_mttr_windows, flags)| {
-            Some(DisasterConfig {
-                group_rate,
-                group_mttr_windows,
-                geometric_repair: flags & 1 != 0,
-                cascade_overload: flags & 2 != 0,
-            })
-        }),
-    ]
-}
-
 fn fault_configs() -> impl Strategy<Value = FaultConfig> {
     (
         (0u64..u64::MAX, 1u32..5_000, 0.0f64..0.5, 1u32..5),
         (0.0f64..0.5, 1u32..5, 0.0f64..0.5, 1u32..200),
-        (1u32..5, 0.0f64..0.3, disaster_configs()),
+        (1u32..5, 0.0f64..0.3),
     )
         .prop_map(
-            |((seed, window, ncr, now), (lfr, low, odr, cap), (odw, corr, disaster))| FaultConfig {
+            |((seed, window, ncr, now), (lfr, low, odr, cap), (odw, corr))| FaultConfig {
                 seed,
                 window,
                 node_crash_rate: ncr,
@@ -49,7 +35,6 @@ fn fault_configs() -> impl Strategy<Value = FaultConfig> {
                     window,
                 },
                 corruption_rate: corr,
-                disaster,
             },
         )
 }
@@ -95,20 +80,13 @@ proptest! {
     ) {
         let s = FaultSchedule::new(cfg);
         if s.node_crashes(entity, window) {
-            if cfg.disaster.is_some_and(|d| d.geometric_repair) {
-                // Geometric repair: the span is drawn per event (mean
-                // `node_outage_windows`), but the crash window itself is
-                // always covered.
-                prop_assert!(s.node_down(entity, window));
-            } else {
-                for k in 0..cfg.node_outage_windows as u64 {
-                    prop_assert!(
-                        s.node_down(entity, window + k),
-                        "crash at {window} but up at {} (outage {})",
-                        window + k,
-                        cfg.node_outage_windows
-                    );
-                }
+            for k in 0..cfg.node_outage_windows as u64 {
+                prop_assert!(
+                    s.node_down(entity, window + k),
+                    "crash at {window} but up at {} (outage {})",
+                    window + k,
+                    cfg.node_outage_windows
+                );
             }
         }
     }
@@ -147,12 +125,11 @@ proptest! {
                 SweepCell { scenario: &s, cfg }
             })
             .collect();
-        // Correlated-disaster cells must honor the same guarantee.
+        // Cells with replica corruption must honor the same guarantee.
         for d in [DesignKind::IcnNr, DesignKind::Edge] {
             let mut cfg = ExperimentConfig::baseline(d);
             let mut fc = FaultConfig::uniform(seed, rate);
             fc.corruption_rate = rate;
-            fc.disaster = Some(DisasterConfig::full(rate / 4.0));
             cfg.fault = Some(fc);
             cells.push(SweepCell { scenario: &s, cfg });
         }

@@ -10,8 +10,12 @@
 //! state is asked of the pure [`FaultSchedule`] at every use; capacity is a
 //! `HashMap` keyed by `(window, node)`. Readable before fast.
 //!
-//! Not modelled (the oracle panics): cache policies other than LRU and
-//! TTL, probabilistic insertion, the disaster layer.
+//! Probabilistic insertion draws the kernel's coins in the kernel's order:
+//! one `StdRng` seeded with the simulator's fixed seed, one draw per
+//! cache-equipped router on the response path.
+//!
+//! Not modelled (the oracle panics): the Prob-admission and TinyLFU cache
+//! policies.
 //! `tests/shard_determinism.rs` includes this file as a module, to judge
 //! the lane world by the same implementation.
 
@@ -20,7 +24,7 @@
     reason = "the capacity map is keyed lookup only; readable before fast"
 )]
 
-use icn_cache::budget::per_node_budgets;
+use icn_cache::budget::{per_node_budgets, BudgetPolicy};
 use icn_cache::PolicyKind;
 use icn_core::capacity::ServingCapacity;
 use icn_core::config::{ExperimentConfig, InsertionPolicy};
@@ -32,48 +36,101 @@ use icn_core::Simulator;
 use icn_topology::{pop, AccessTree, Network, NodeId, PopGraph};
 use icn_workload::origin::{assign_origins, OriginPolicy};
 use icn_workload::sizes::SizeModel;
-use icn_workload::trace::{Region, Request, Trace};
+use icn_workload::trace::{Locality, Region, Request, Trace, TraceConfig};
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
+
+/// The seed of the simulator's insertion coins.
+const COIN_SEED: u64 = 0xd1ce_cafe;
+
+/// The replacement policies the oracle models.
+#[derive(Clone, Copy, PartialEq)]
+enum Policy {
+    Lru,
+    /// Least-frequently used; among equal counts, least recently used.
+    Lfu,
+    /// Insertion order; hits and re-inserts change nothing.
+    Fifo,
+    /// Fixed-term leases of this many requests.
+    Ttl(u64),
+}
 
 /// One router's cache: a plain `Vec` in eviction order, next victim first.
 struct Cache {
     cap: usize,
-    /// Lease length under the TTL policy; `None` is LRU.
-    ttl: Option<u64>,
-    /// `(object, lease end)`; the lease end is unused under LRU.
+    policy: Policy,
+    /// `(object, tag)`: the tag is the lease end under TTL and the use
+    /// count under LFU, unused otherwise.
     held: Vec<(u32, u64)>,
 }
 
 impl Cache {
+    fn position(&self, object: u32) -> Option<usize> {
+        self.held.iter().position(|&(o, _)| o == object)
+    }
+
     fn contains(&self, object: u32) -> bool {
-        self.held.iter().any(|&(o, _)| o == object)
+        self.position(object).is_some()
     }
 
     fn remove(&mut self, object: u32) {
         self.held.retain(|&(o, _)| o != object);
     }
 
-    /// A hit: LRU moves the object to the young end; TTL leases are
-    /// fixed-term, so a hit changes nothing.
+    /// Places `object` with use count `uses` behind every entry used as
+    /// often or less: it is the most recent of its count.
+    fn place_lfu(&mut self, object: u32, uses: u64) {
+        let at = self.held.iter().position(|&(_, u)| u > uses);
+        self.held
+            .insert(at.unwrap_or(self.held.len()), (object, uses));
+    }
+
+    /// A hit: LRU moves the object to the young end, LFU counts a use;
+    /// FIFO order and TTL leases are fixed, so a hit changes nothing.
     fn touch(&mut self, object: u32) {
-        if self.ttl.is_none() && self.contains(object) {
-            self.remove(object);
-            self.held.push((object, 0));
+        let Some(i) = self.position(object) else {
+            return;
+        };
+        match self.policy {
+            Policy::Lru => {
+                let entry = self.held.remove(i);
+                self.held.push(entry);
+            }
+            Policy::Lfu => {
+                let (_, uses) = self.held.remove(i);
+                self.place_lfu(object, uses + 1);
+            }
+            Policy::Fifo | Policy::Ttl(_) => {}
         }
     }
 
-    /// Stores `object` at time `now`. A present object is refreshed (LRU
-    /// recency, or a renewed lease); a full cache evicts its oldest entry.
+    /// Stores `object` at time `now`. A present object counts as a hit,
+    /// except that a TTL lease is renewed; a full cache evicts its next
+    /// victim.
     fn insert(&mut self, object: u32, now: u64) {
         if self.cap == 0 {
             return;
         }
         if self.contains(object) {
-            self.remove(object);
-        } else if self.held.len() == self.cap {
+            match self.policy {
+                Policy::Ttl(ttl) => {
+                    self.remove(object);
+                    self.held.push((object, now + ttl));
+                }
+                _ => self.touch(object),
+            }
+            return;
+        }
+        if self.held.len() == self.cap {
             self.held.remove(0);
         }
-        self.held.push((object, now + self.ttl.unwrap_or(0)));
+        match self.policy {
+            Policy::Lfu => self.place_lfu(object, 1),
+            Policy::Ttl(ttl) => self.held.push((object, now + ttl)),
+            Policy::Lru | Policy::Fifo => self.held.push((object, 0)),
+        }
     }
 }
 
@@ -111,6 +168,8 @@ struct Oracle<'a> {
     /// window, degraded origin PoP)`.
     served: HashMap<(u64, u32), u32>,
     origin_served: HashMap<(u64, u32), u32>,
+    /// Probabilistic insertion's coins.
+    coins: StdRng,
     metrics: RunMetrics,
 }
 
@@ -131,13 +190,13 @@ fn links(net: &Network, a: NodeId, b: NodeId) -> Vec<u32> {
 impl<'a> Oracle<'a> {
     fn new(net: &'a Network, cfg: ExperimentConfig, origins: &'a [u16], sizes: &'a [u32]) -> Self {
         let spec = cfg.design.spec(net);
-        let ttl = match cfg.policy {
-            PolicyKind::Lru => None,
-            PolicyKind::Ttl { ttl } => Some(ttl as u64),
-            other => panic!("the oracle models LRU and TTL caches, not {other:?}"),
+        let policy = match cfg.policy {
+            PolicyKind::Lru => Policy::Lru,
+            PolicyKind::Lfu => Policy::Lfu,
+            PolicyKind::Fifo => Policy::Fifo,
+            PolicyKind::Ttl { ttl } => Policy::Ttl(ttl as u64),
+            other => panic!("the oracle does not model {other:?} caches"),
         };
-        let disaster = cfg.fault.and_then(|f| f.disaster);
-        assert!(disaster.is_none(), "the oracle models independent faults");
         let budgets = per_node_budgets(
             cfg.budget_policy,
             cfg.f_fraction,
@@ -156,7 +215,7 @@ impl<'a> Oracle<'a> {
         let caches = (0..equipped.len())
             .map(|n| Cache {
                 cap: capacity(n),
-                ttl,
+                policy,
                 held: Vec::new(),
             })
             .collect();
@@ -174,6 +233,7 @@ impl<'a> Oracle<'a> {
             penalty: 0.0,
             served: HashMap::new(),
             origin_served: HashMap::new(),
+            coins: StdRng::seed_from_u64(COIN_SEED),
             metrics: RunMetrics::new(links, pops, net.tree.depth),
             cfg,
         }
@@ -249,7 +309,11 @@ impl<'a> Oracle<'a> {
         self.metrics.requests += 1;
         (self.now, self.penalty) = (idx, 0.0);
         // A lease [t, t + ttl) is dead once the clock reaches its end.
-        for c in self.caches.iter_mut().filter(|c| c.ttl.is_some()) {
+        for c in self
+            .caches
+            .iter_mut()
+            .filter(|c| matches!(c.policy, Policy::Ttl(_)))
+        {
             c.held.retain(|&(_, end)| end > idx);
         }
         // A crash is a cold restart in the first request of its window.
@@ -421,7 +485,9 @@ impl<'a> Oracle<'a> {
                 InsertionPolicy::LeaveCopyDown => {
                     self.equipped[n as usize] && std::mem::take(&mut lcd_free)
                 }
-                InsertionPolicy::Probabilistic { .. } => panic!("the oracle draws no coins"),
+                InsertionPolicy::Probabilistic { p } => {
+                    self.equipped[n as usize] && self.coins.gen::<f64>() < p
+                }
             };
             // An origin root never caches what it hosts; a crashed router
             // stores nothing.
@@ -502,34 +568,40 @@ fn abilene() -> Network {
     Network::new(pop::abilene(), AccessTree::new(2, 3))
 }
 
+const ALL_DESIGNS: [DesignKind; 12] = [
+    DesignKind::NoCache,
+    DesignKind::IcnSp,
+    DesignKind::IcnNr,
+    DesignKind::Edge,
+    DesignKind::EdgeCoop,
+    DesignKind::EdgeNorm,
+    DesignKind::TwoLevels,
+    DesignKind::TwoLevelsCoop,
+    DesignKind::NormCoop,
+    DesignKind::DoubleBudgetCoop,
+    DesignKind::InfiniteEdge,
+    DesignKind::InfiniteIcnNr,
+];
+
 #[test]
 fn every_design_matches_fault_free() {
-    let all = [
-        DesignKind::NoCache,
-        DesignKind::IcnSp,
-        DesignKind::IcnNr,
-        DesignKind::Edge,
-        DesignKind::EdgeCoop,
-        DesignKind::EdgeNorm,
-        DesignKind::TwoLevels,
-        DesignKind::TwoLevelsCoop,
-        DesignKind::NormCoop,
-        DesignKind::DoubleBudgetCoop,
-        DesignKind::InfiniteEdge,
-        DesignKind::InfiniteIcnNr,
-    ];
-    check(&abilene(), &all, &[BASELINE]);
+    check(&abilene(), &ALL_DESIGNS, &[BASELINE]);
 }
 
 #[test]
 fn knobs_match_on_nr_and_edge_coop() {
-    let knobs: [Knob; 6] = [
+    let knobs: [Knob; 9] = [
         ("progression", |c| c.latency = LatencyModel::Progression),
         ("core x4", |c| {
             c.latency = LatencyModel::CoreMultiplier { d: 4 }
         }),
         ("by size", |c| c.weight_by_size = true),
         ("lcd", |c| c.insertion = InsertionPolicy::LeaveCopyDown),
+        ("prob p=0.3", |c| {
+            c.insertion = InsertionPolicy::Probabilistic { p: 0.3 }
+        }),
+        ("lfu", |c| c.policy = PolicyKind::Lfu),
+        ("fifo", |c| c.policy = PolicyKind::Fifo),
         CAPACITY,
         TTL,
     ];
@@ -562,5 +634,126 @@ fn wide_trees_match_at_two_and_four_directory_words() {
         assert_eq!(net.nodes_per_pop(), nodes);
         let knobs = [BASELINE, CAPACITY, TTL, FAULTED];
         check(&net, &[DesignKind::IcnNr], &knobs);
+    }
+}
+
+/// A random small world: 1–4 PoPs joined by a random spanning tree plus
+/// at most one extra core link, under access trees of arity 2–4 and
+/// depth 1–4.
+fn worlds() -> impl Strategy<Value = Network> {
+    (1u32..5, 2u32..5, 1u32..5, 0u64..u64::MAX).prop_map(|(pops, arity, depth, seed)| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut edges: Vec<(u32, u32)> = (1..pops).map(|p| (rng.gen_range(0..p), p)).collect();
+        if pops > 2 {
+            let (a, b) = (rng.gen_range(0..pops - 1), pops - 1);
+            edges.push((a, b)); // PopGraph::new drops a duplicate
+        }
+        let core = PopGraph::new(
+            "random",
+            (0..pops).map(|p| format!("P{p}")).collect(),
+            (0..pops).map(|_| rng.gen_range(100..10_000)).collect(),
+            edges,
+        );
+        Network::new(core, AccessTree::new(arity, depth))
+    })
+}
+
+/// Random knobs on a random design: replacement and insertion policy,
+/// cache and serving capacity, latency model, size weighting, and an
+/// optional uniform fault schedule with replica corruption.
+fn configs() -> impl Strategy<Value = ExperimentConfig> {
+    (
+        (0usize..12, 0u32..4, 0u32..3, 0.01f64..0.4),
+        (0u32..2, 0u32..3, 0u32..2, 0u32..2),
+        (0u32..2, 0u64..u64::MAX, 0.0f64..0.08, 0.0f64..0.1),
+    )
+        .prop_map(|(knobs, more, faults)| {
+            let (design, policy, insertion, f_fraction) = knobs;
+            let (budget, latency, by_size, capped) = more;
+            let (faulted, seed, rate, corruption) = faults;
+            // Short fault windows, so one trace crosses many of them.
+            let fault = (faulted == 1).then(|| FaultConfig {
+                window: 50,
+                corruption_rate: corruption,
+                ..FaultConfig::uniform(seed, rate)
+            });
+            ExperimentConfig {
+                design: ALL_DESIGNS[design],
+                budget_policy: [BudgetPolicy::PopulationProportional, BudgetPolicy::Uniform]
+                    [budget as usize],
+                f_fraction,
+                policy: [
+                    PolicyKind::Lru,
+                    PolicyKind::Lfu,
+                    PolicyKind::Fifo,
+                    PolicyKind::Ttl { ttl: 150 },
+                ][policy as usize],
+                latency: [
+                    LatencyModel::Unit,
+                    LatencyModel::Progression,
+                    LatencyModel::CoreMultiplier { d: 4 },
+                ][latency as usize],
+                capacity: (capped == 1).then_some(ServingCapacity {
+                    per_node: 2,
+                    window: 40,
+                }),
+                weight_by_size: by_size == 1,
+                insertion: [
+                    InsertionPolicy::Everywhere,
+                    InsertionPolicy::LeaveCopyDown,
+                    InsertionPolicy::Probabilistic { p: 0.4 },
+                ][insertion as usize],
+                fault,
+            }
+        })
+}
+
+/// A short random trace: 3,000 requests over 20–400 objects, with or
+/// without temporal locality and heavy-tailed sizes.
+fn traces() -> impl Strategy<Value = TraceConfig> {
+    (0u64..u64::MAX, 20u32..400, 0.6f64..1.2, (0u32..2, 0u32..2)).prop_map(
+        |(seed, objects, alpha, (local, sized))| TraceConfig {
+            requests: 3_000,
+            objects,
+            alpha,
+            locality: (local == 1).then_some(Locality { q: 0.5, window: 32 }),
+            sizes: [SizeModel::Unit, SizeModel::web_default()][sized as usize],
+            seed,
+            ..TraceConfig::small()
+        },
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The engine equals the oracle on random worlds, knobs and traces.
+    /// The hand-picked matrix above stays as the named regression cases.
+    #[test]
+    fn random_small_worlds_match(net in worlds(), cfg in configs(), tc in traces()) {
+        let trace = Trace::synthesize(tc, &net.core.populations, net.leaves_per_pop());
+        let origins = assign_origins(
+            OriginPolicy::PopulationProportional,
+            trace.config.objects,
+            &net.core.populations,
+            trace.config.seed,
+        );
+        let label = format!(
+            "{} PoPs, arity {}, depth {}, trace seed {:#x}, {cfg:?}",
+            net.pops(),
+            net.tree.arity,
+            net.tree.depth,
+            trace.config.seed
+        );
+        let want = run(&net, &cfg, &origins, &trace.object_sizes, &trace.requests);
+        let mut sim = Simulator::new(&net, cfg, &origins, &trace.object_sizes);
+        let got = sim.run(&trace.requests);
+        prop_assert_eq!(
+            want.total_latency.to_bits(),
+            got.total_latency.to_bits(),
+            "latency bits: {}",
+            label
+        );
+        prop_assert_eq!(&want, got, "RunMetrics: {}", label);
     }
 }

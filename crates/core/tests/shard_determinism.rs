@@ -4,7 +4,7 @@
 //! 1. **Worker-count invariance** — the shard count is pure mechanics:
 //!    `shards = 1` and `shards = N` must produce bit-identical
 //!    [`RunMetrics`] for *every* configuration (all five Figure-6
-//!    designs, faults, disasters, TTL, capacity, probabilistic
+//!    designs, faults, TTL, capacity, probabilistic
 //!    insertion). This is the invariant `scripts/check.sh` byte-compares
 //!    end-to-end.
 //! 2. **Exact sequential equivalences** — where the epoch semantics
@@ -18,7 +18,7 @@
 use icn_core::capacity::ServingCapacity;
 use icn_core::config::{ExperimentConfig, InsertionPolicy};
 use icn_core::design::DesignKind;
-use icn_core::fault::{DisasterConfig, FaultConfig};
+use icn_core::fault::FaultConfig;
 use icn_core::metrics::RunMetrics;
 use icn_core::shard::{run_sharded, supported, ShardOpts};
 use icn_core::sim::Simulator;
@@ -104,11 +104,6 @@ fn variants(design: DesignKind) -> Vec<(&'static str, ExperimentConfig)> {
     fc.corruption_rate = 0.01;
     faulted.fault = Some(fc);
     out.push(("faulted+corrupt", faulted));
-    let mut disaster = base.clone();
-    let mut dc = FaultConfig::uniform(0xd15a, 0.01);
-    dc.disaster = Some(DisasterConfig::full(0.02));
-    disaster.fault = Some(dc);
-    out.push(("disaster", disaster));
     let mut ttl = base.clone();
     ttl.policy = icn_cache::PolicyKind::Ttl { ttl: 700 };
     out.push(("ttl", ttl));
@@ -166,11 +161,6 @@ fn single_pop_epoch_engine_matches_sequential() {
     let f = Fixture::single_pop();
     for design in [DesignKind::IcnNr, DesignKind::IcnSp, DesignKind::EdgeCoop] {
         for (label, cfg) in variants(design) {
-            if label == "disaster" {
-                // Cascade seeding reads the per-lane capacity view; it is
-                // a documented deviation even at one PoP.
-                continue;
-            }
             let want = f.sequential(&cfg);
             let got = f.sharded(
                 &cfg,
@@ -257,14 +247,10 @@ fn single_pop_epoch_engine_matches_the_oracle() {
     // The lane world judged by the same external implementation as the
     // live world: with one PoP there is no foreign state, so lane-local
     // directory masks, TTL queue, capacity counters and fault views must
-    // reproduce the naive simulator bit for bit. (The oracle models
-    // neither the disaster layer nor the insertion RNG.)
+    // reproduce the naive simulator bit for bit.
     let f = Fixture::single_pop();
     for design in [DesignKind::IcnNr, DesignKind::IcnSp, DesignKind::EdgeCoop] {
         for (label, cfg) in variants(design) {
-            if label == "disaster" || label == "probabilistic" {
-                continue;
-            }
             let want = oracle::run(
                 &f.net,
                 &cfg,
@@ -365,7 +351,7 @@ proptest! {
         design_idx in 0usize..5,
         epoch_len in 1u64..1500,
         shards in 2usize..8,
-        variant_idx in 0usize..7,
+        variant_idx in 0usize..6,
     ) {
         let f = Fixture::abilene();
         let design = DesignKind::figure6_designs()[design_idx];

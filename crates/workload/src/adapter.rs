@@ -11,13 +11,20 @@
 //!
 //! Only plain (uncompressed) text is supported; gzip input is detected by
 //! its magic bytes and rejected with a clear error rather than silently
-//! parsed as garbage. Everything is deterministic: the same log bytes and
-//! format always produce the same [`Trace`].
+//! parsed as garbage. A line is read into a buffer of at most
+//! [`MAX_LINE_BYTES`], so hostile input (no newline, binary noise) gives an
+//! `InvalidData` error instead of an unbounded allocation. Everything is
+//! deterministic: the same log bytes and format always produce the same
+//! [`Trace`].
 
 use crate::sizes::SizeModel;
 use crate::trace::{Request, Trace, TraceConfig};
 use std::collections::HashMap;
-use std::io::{BufRead, Error, ErrorKind};
+use std::io::{BufRead, Error, ErrorKind, Read};
+
+/// Longest log line [`read_cdn_log`] accepts, in bytes without its line
+/// ending.
+pub const MAX_LINE_BYTES: usize = 64 * 1024;
 
 /// Column layout of a delimited CDN log.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -67,6 +74,33 @@ fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Reads line `lineno` into `buf` without its `\n` or `\r\n` ending;
+/// `Ok(None)` at the end of the input. Never buffers more than
+/// [`MAX_LINE_BYTES`] plus the ending.
+fn next_line<'b>(
+    r: &mut impl BufRead,
+    buf: &'b mut Vec<u8>,
+    lineno: usize,
+) -> std::io::Result<Option<&'b str>> {
+    let invalid = |what: &str| Error::new(ErrorKind::InvalidData, format!("line {lineno}: {what}"));
+    buf.clear();
+    if r.take(MAX_LINE_BYTES as u64 + 2).read_until(b'\n', buf)? == 0 {
+        return Ok(None);
+    }
+    if buf.ends_with(b"\n") {
+        buf.pop();
+        if buf.ends_with(b"\r") {
+            buf.pop();
+        }
+    }
+    if buf.len() > MAX_LINE_BYTES {
+        return Err(invalid(&format!("longer than {MAX_LINE_BYTES} bytes")));
+    }
+    std::str::from_utf8(buf)
+        .map(Some)
+        .map_err(|_| invalid("not UTF-8"))
+}
+
 /// Reads a delimited CDN log into a [`Trace`] over a network with the
 /// given PoP populations and leaves per access tree.
 ///
@@ -77,8 +111,10 @@ fn splitmix64(mut z: u64) -> u64 {
 /// leaf. Sizes come from `size_col` (first value seen per object, floored
 /// at 1 byte) or default to 1.
 ///
-/// Errors on gzip input (magic bytes `1f 8b`), on lines missing a
-/// configured column, and on unparseable size fields.
+/// Errors (`InvalidData`) on gzip input (magic bytes `1f 8b`), on a line
+/// that is not UTF-8 or is longer than [`MAX_LINE_BYTES`], on lines
+/// missing a configured column or with an empty object key, on
+/// unparseable size fields, and on a log with no request.
 pub fn read_cdn_log<R: BufRead>(
     mut r: R,
     fmt: &CdnLogFormat,
@@ -122,8 +158,11 @@ pub fn read_cdn_log<R: BufRead>(
     // popularity ranks after the counts are known.
     let mut records: Vec<(u32, u16, u16)> = Vec::new();
 
-    for (lineno, line) in r.lines().enumerate() {
-        let line = line?;
+    let mut buf = Vec::new();
+    for lineno in 0.. {
+        let Some(line) = next_line(&mut r, &mut buf, lineno)? else {
+            break;
+        };
         if lineno == 0 && fmt.has_header {
             continue;
         }
@@ -176,6 +215,12 @@ pub fn read_cdn_log<R: BufRead>(
         records.push((raw, pop, leaf));
     }
 
+    if records.is_empty() {
+        return Err(Error::new(
+            ErrorKind::InvalidData,
+            "the log holds no request",
+        ));
+    }
     // Rank objects: most-requested first, first-seen breaks ties.
     let n = counts.len();
     let mut order: Vec<u32> = (0..n as u32).collect();
@@ -206,7 +251,6 @@ pub fn read_cdn_log<R: BufRead>(
             locality: None,
             sizes: SizeModel::Unit,
             seed: 0,
-            dynamics: None,
         },
         requests,
         object_sizes,

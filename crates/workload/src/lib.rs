@@ -17,8 +17,6 @@
 //! * [`origin`] — origin-server assignment of objects to PoPs;
 //! * [`flood`] — request-flood (DoS) attack workloads for the §7
 //!   resilience experiment;
-//! * [`dynamics`] — non-stationary workload dynamics (diurnal cycles,
-//!   flash crowds, content churn) layered onto the streaming synthesizer;
 //! * [`adapter`] — ingestion of external CDN logs (plain CSV) into traces.
 
 #![warn(missing_docs)]
@@ -26,7 +24,6 @@
 #![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 pub mod adapter;
-pub mod dynamics;
 pub mod fit;
 pub mod flood;
 pub mod origin;
@@ -35,7 +32,6 @@ pub mod skew;
 pub mod trace;
 pub mod zipf;
 
-pub use dynamics::DynamicsConfig;
 pub use fit::ZipfFit;
 pub use origin::OriginPolicy;
 pub use sizes::SizeModel;

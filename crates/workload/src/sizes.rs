@@ -38,9 +38,7 @@ impl SizeModel {
     }
 
     /// Draws a size per object id. Object ids are global-popularity ranks,
-    /// and the draw is independent of the id, so size ⟂ popularity — and
-    /// stays so under any deterministic permutation of object ids (e.g.
-    /// the churn remap in [`crate::dynamics`]).
+    /// and the draw is independent of the id, so size ⟂ popularity.
     pub fn generate(&self, objects: u32, seed: u64) -> Vec<u32> {
         match *self {
             SizeModel::Unit => vec![1; objects as usize],

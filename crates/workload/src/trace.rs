@@ -62,9 +62,6 @@ pub struct TraceConfig {
     pub sizes: SizeModel,
     /// RNG seed.
     pub seed: u64,
-    /// Non-stationary dynamics; `None` = the stationary synthesizer,
-    /// whose RNG draw sequence is preserved bit-for-bit.
-    pub dynamics: Option<crate::dynamics::DynamicsConfig>,
 }
 
 impl TraceConfig {
@@ -78,7 +75,6 @@ impl TraceConfig {
             locality: None,
             sizes: SizeModel::Unit,
             seed: 42,
-            dynamics: None,
         }
     }
 }
@@ -156,7 +152,6 @@ impl Region {
             locality: Some(Locality::cdn_default()),
             sizes: SizeModel::Unit,
             seed: 0x1c_0de + self as u64,
-            dynamics: None,
         }
     }
 }
@@ -185,11 +180,6 @@ pub struct TraceIter {
     history: Vec<Vec<u32>>,
     hist_pos: Vec<usize>,
     remaining: usize,
-    /// Requests emitted so far — the logical clock driving the dynamics.
-    emitted: u64,
-    /// Non-stationary dynamics state; `None` leaves the per-request RNG
-    /// draw sequence exactly as it was before dynamics existed.
-    dynamics: Option<crate::dynamics::DynamicsState>,
 }
 
 impl TraceIter {
@@ -234,20 +224,6 @@ impl TraceIter {
         let n_leaves = populations.len() * leaves_per_pop as usize;
         let history: Vec<Vec<u32>> = vec![Vec::new(); if loc_q > 0.0 { n_leaves } else { 0 }];
         let hist_pos: Vec<usize> = vec![0; history.len()];
-        let dynamics = config
-            .dynamics
-            .as_ref()
-            .filter(|d| !d.is_static())
-            .map(|d| {
-                crate::dynamics::DynamicsState::new(
-                    d,
-                    config.objects,
-                    config.alpha,
-                    populations,
-                    config.requests,
-                    config.seed,
-                )
-            });
         Self {
             rng,
             zipf,
@@ -259,8 +235,6 @@ impl TraceIter {
             history,
             hist_pos,
             remaining: config.requests,
-            emitted: 0,
-            dynamics,
         }
     }
 }
@@ -273,58 +247,20 @@ impl Iterator for TraceIter {
             return None;
         }
         self.remaining -= 1;
-        let t = self.emitted;
-        self.emitted += 1;
-        if let Some(d) = &mut self.dynamics {
-            d.advance(t);
-        }
         let u: f64 = self.rng.gen();
-        // A diurnal cycle swaps in the current phase's PoP mix; otherwise
-        // (and always when dynamics are off) the static cum applies, so
-        // the draw count and ordering never change.
-        let cum = match &self.dynamics {
-            Some(d) => d.pop_cum(t).unwrap_or(&self.cum),
-            None => &self.cum,
-        };
-        let pop = cum.partition_point(|&c| c < u).min(cum.len() - 1) as u16;
+        let pop = self.cum.partition_point(|&c| c < u).min(self.cum.len() - 1) as u16;
         let leaf = self.rng.gen_range(0..self.leaves_per_pop) as u16;
         let leaf_slot = pop as usize * self.leaves_per_pop as usize + leaf as usize;
-        // Flash crowds pre-empt locality and the Zipf marginal: while an
-        // event is active every request may land on the flash object. The
-        // coin is drawn *only* while an event is active, so configs
-        // without flash — and flash configs outside event windows — stay
-        // on the original draw sequence.
-        let flash_obj = match &self.dynamics {
-            Some(d) if d.flash_active() => {
-                let fu: f64 = self.rng.gen();
-                d.flash_pick(t, fu)
-            }
-            _ => None,
-        };
-        let object = if let Some(o) = flash_obj {
-            o
-        } else if self.loc_q > 0.0
+        let object = if self.loc_q > 0.0
             && !self.history[leaf_slot].is_empty()
             && self.rng.gen::<f64>() < self.loc_q
         {
-            // Replay a recent request from this leaf. Replayed ids are
-            // *not* re-churned: the leaf asks again for the same content
-            // it saw, whatever rank that content holds now.
+            // Replay a recent request from this leaf.
             let h = &self.history[leaf_slot];
             h[self.rng.gen_range(0..h.len())]
         } else {
-            let rank = match &self.dynamics {
-                Some(d) => match d.zipf(t) {
-                    Some(z) => z.sample(&mut self.rng) as u32,
-                    None => self.zipf.sample(&mut self.rng) as u32,
-                },
-                None => self.zipf.sample(&mut self.rng) as u32,
-            };
-            let raw = self.spatial.object_for_rank(pop as u32, rank);
-            match &self.dynamics {
-                Some(d) => d.remap(raw),
-                None => raw,
-            }
+            let rank = self.zipf.sample(&mut self.rng) as u32;
+            self.spatial.object_for_rank(pop as u32, rank)
         };
         if self.loc_q > 0.0 {
             let h = &mut self.history[leaf_slot];
@@ -441,7 +377,6 @@ impl Trace {
                 locality: None,
                 sizes: SizeModel::Unit,
                 seed: 0,
-                dynamics: None,
             },
             requests,
             object_sizes: vec![1; objects as usize],
@@ -658,112 +593,6 @@ mod tests {
             (fit.alpha_mle - 1.04).abs() < 0.15,
             "marginal drifted: fitted {}",
             fit.alpha_mle
-        );
-    }
-
-    #[test]
-    fn static_dynamics_config_is_bit_identical_to_none() {
-        // `dynamics: Some(all-None)` must not perturb a single RNG draw:
-        // the stream is the stationary synthesizer's, bit for bit.
-        let mut cfg = TraceConfig::small();
-        cfg.requests = 5_000;
-        cfg.locality = Some(Locality::cdn_default());
-        let baseline: Vec<Request> = TraceIter::new(&cfg, &pops(), 4).collect();
-        cfg.dynamics = Some(crate::dynamics::DynamicsConfig::default());
-        let with_static: Vec<Request> = TraceIter::new(&cfg, &pops(), 4).collect();
-        assert_eq!(baseline, with_static);
-    }
-
-    #[test]
-    fn flash_crowd_concentrates_requests_on_cold_objects() {
-        let mut cfg = TraceConfig::small();
-        cfg.requests = 40_000;
-        cfg.objects = 10_000;
-        let base = Trace::synthesize(cfg.clone(), &pops(), 4);
-        cfg.dynamics = Some(crate::dynamics::DynamicsConfig::flash(cfg.requests));
-        let flashed = Trace::synthesize(cfg, &pops(), 4);
-        // Share of requests landing outside the top 10% of ranks: flash
-        // events (which target the cold tail) must inflate it massively.
-        let tail_share = |t: &Trace| {
-            t.requests.iter().filter(|r| r.object >= 1_000).count() as f64 / t.len() as f64
-        };
-        let (b, f) = (tail_share(&base), tail_share(&flashed));
-        assert!(f > b + 0.08, "flash tail share {f:.3} vs base {b:.3}");
-        // And the hottest *tail* object runs far hotter than any tail
-        // object does under IRM (the flash target soaks up the spike).
-        let hot_tail = |t: &Trace| t.object_counts()[1_000..].iter().copied().max().unwrap();
-        assert!(
-            hot_tail(&flashed) > 5 * hot_tail(&base).max(1),
-            "flash target not hot: {} vs base {}",
-            hot_tail(&flashed),
-            hot_tail(&base)
-        );
-    }
-
-    #[test]
-    fn churn_moves_the_hot_set_but_keeps_the_marginal() {
-        let mut cfg = TraceConfig::small();
-        cfg.requests = 100_000;
-        cfg.objects = 5_000;
-        // Aggressive churn (90% of the universe per rotation) so the top
-        // rank's holder is all but guaranteed to move within the trace;
-        // the gentler preset moves it only with moderate probability.
-        cfg.dynamics = Some(crate::dynamics::DynamicsConfig {
-            diurnal: None,
-            flash: None,
-            churn: Some(crate::dynamics::Churn {
-                interval: cfg.requests as u64 / 8,
-                fraction: 0.9,
-            }),
-        });
-        let t = Trace::synthesize(cfg.clone(), &pops(), 4);
-        // The Zipf *shape* survives rank rotation (ids permute, the
-        // rank-frequency curve does not).
-        let fit = crate::fit::fit_zipf(&t.object_counts()).unwrap();
-        assert!(
-            (fit.alpha_mle - 1.0).abs() < 0.15,
-            "marginal drifted: {fit:?}"
-        );
-        // But the hot set genuinely rotates: the top object of the first
-        // tenth differs from the top object of the last tenth.
-        let top_of = |reqs: &[Request]| {
-            let mut c = vec![0u32; cfg.objects as usize];
-            for r in reqs {
-                c[r.object as usize] += 1;
-            }
-            (0..c.len()).max_by_key(|&i| c[i]).unwrap()
-        };
-        let n = t.len();
-        assert_ne!(
-            top_of(&t.requests[..n / 10]),
-            top_of(&t.requests[n - n / 10..]),
-            "churn should displace the top object over the trace"
-        );
-    }
-
-    #[test]
-    fn diurnal_cycle_shifts_the_pop_mix_within_a_period() {
-        let mut cfg = TraceConfig::small();
-        cfg.requests = 80_000;
-        cfg.dynamics = Some(crate::dynamics::DynamicsConfig {
-            diurnal: Some(crate::dynamics::Diurnal {
-                period: 80_000,
-                amplitude: 0.6,
-            }),
-            flash: None,
-            churn: None,
-        });
-        let t = Trace::synthesize(cfg, &pops(), 4);
-        // Opposite phases of one period: PoP shares must move.
-        let share = |reqs: &[Request], pop: u16| {
-            reqs.iter().filter(|r| r.pop == pop).count() as f64 / reqs.len() as f64
-        };
-        let q1 = &t.requests[..20_000];
-        let q3 = &t.requests[40_000..60_000];
-        let delta = (share(q1, 0) - share(q3, 0)).abs();
-        assert!(
-            delta > 0.02,
-            "diurnal PoP-share swing too small: {delta:.4}"
         );
     }
 

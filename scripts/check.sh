@@ -102,24 +102,6 @@ SCALE="${SCALE:-0.02}" JOBS=4 icn failures >"$tmp/failures-4.txt" 2>/dev/null
 cmp "$tmp/failures-1.txt" "$tmp/failures-4.txt"
 echo "faulted sweep JOBS=1 and JOBS=4 stdout byte-identical"
 
-echo "=== correlated-disaster smoke (disasters --smoke, JOBS=1 vs JOBS=4)"
-# Shared-risk groups, geometric repair, cascading overload, and content
-# corruption are all pure functions of (seed, entity, window); routing a
-# disaster sweep through the parallel batch path must not move a byte.
-JOBS=1 icn disasters --smoke >"$tmp/disasters-1.txt" 2>/dev/null
-JOBS=4 icn disasters --smoke >"$tmp/disasters-4.txt" 2>/dev/null
-cmp "$tmp/disasters-1.txt" "$tmp/disasters-4.txt"
-echo "disaster sweep JOBS=1 and JOBS=4 stdout byte-identical"
-
-echo "=== workload-dynamics smoke (dynamics --smoke, JOBS=1 vs JOBS=4)"
-# Exercises the streaming dynamics (diurnal/flash/churn), the TTL expiry
-# queue, and TinyLFU admission through the parallel sweep path; dynamics
-# are pure functions of the trace seed, so stdout must not move a byte.
-JOBS=1 icn dynamics --smoke >"$tmp/dynamics-1.txt" 2>/dev/null
-JOBS=4 icn dynamics --smoke >"$tmp/dynamics-4.txt" 2>/dev/null
-cmp "$tmp/dynamics-1.txt" "$tmp/dynamics-4.txt"
-echo "dynamics sweep JOBS=1 and JOBS=4 stdout byte-identical"
-
 echo "=== repo benchmark harness (benchmark/: unit tests + --smoke)"
 # The harness is a workspace of its own (see BENCHMARK.json); its smoke
 # run drives every workload at ~1/20 size with all built-in checks on

@@ -71,7 +71,6 @@ proptest! {
             },
             sizes: icn_workload::sizes::SizeModel::Unit,
             seed,
-            dynamics: None,
         };
         let trace = Trace::synthesize(cfg, &net.core.populations, net.leaves_per_pop());
         let origins = assign_origins(
@@ -128,7 +127,6 @@ proptest! {
             locality: None,
             sizes: icn_workload::sizes::SizeModel::Unit,
             seed,
-            dynamics: None,
         };
         let s = icn_core::sweep::Scenario::build(
             core,

@@ -18,7 +18,6 @@ fn small_cfg() -> TraceConfig {
         locality: None,
         sizes: icn_workload::sizes::SizeModel::Unit,
         seed: 99,
-        dynamics: None,
     }
 }
 

@@ -91,7 +91,6 @@ fn locality_window_bounds_reuse_distance() {
         locality: Some(Locality { q: 0.7, window: 16 }),
         sizes: icn_workload::sizes::SizeModel::Unit,
         seed: 5,
-        dynamics: None,
     };
     let trace = Trace::synthesize(cfg, &[1_000], 1); // single leaf
     let mut last_seen: std::collections::HashMap<u32, usize> = Default::default();
