@@ -6,10 +6,7 @@
 //! as JSONL, which forces sequential sweeps (a streamed trace is
 //! completion-ordered). Both files are created before anything runs, so an
 //! unwritable path fails at once. Every completed sweep cell prints one
-//! stderr line. None of it changes a printed figure. With
-//! `--no-default-features` the `sim.*` metrics and profiler spans compile
-//! out, but the latency histogram ([`RunMetrics`] carries it) is still
-//! exported.
+//! stderr line. None of it changes a printed figure.
 
 use crate::RunOpts;
 use icn_core::config::ExperimentConfig;
@@ -113,7 +110,9 @@ impl Telemetry {
     /// [`run_cells_reported`]'s ordered merge, per-worker registries and
     /// profilers fold into this collector in worker order (their adds and
     /// merges commute), and per-run latency histograms merge in submission
-    /// order. Only wall-clock timer durations vary.
+    /// order. Only wall-clock timer durations vary. The `sim.requests` and
+    /// `sim.failed_requests` counters are sums of each run's
+    /// [`RunMetrics`], which counts them already.
     pub fn improvement_batch(&self, cells: &[SweepCell<'_>]) -> Vec<(Improvement, RunMetrics)> {
         let jobs = self.jobs;
         eprintln!("... running {} cells (JOBS={jobs})", cells.len());
@@ -139,17 +138,20 @@ impl Telemetry {
             self.registry.merge_from(registry);
             self.registry.merge_from(profiler.registry());
         }
-        // Latency in millicost units, see [`icn_core::metrics::LATENCY_HIST_SCALE`].
         for (_, run) in &results {
             self.registry.counter("bench.runs").inc();
+            self.registry.counter("sim.requests").add(run.requests);
+            self.registry
+                .counter("sim.failed_requests")
+                .add(run.failed_requests);
+            // Latency in millicost units, see [`icn_core::metrics::LATENCY_HIST_SCALE`].
             self.registry
                 .merge_histogram("sim.latency_milli", &run.latency_hist);
         }
         results
     }
 
-    /// The stderr line for the `done`th of `planned` completed cells
-    /// (wall clock and peak RSS read 0 without the `obs` feature).
+    /// The stderr line for the `done`th of `planned` completed cells.
     fn cell_line(&self, done: usize, planned: usize, design: &str, sample: &CellSample) -> String {
         format!(
             "[{}] cell {done}/{planned} {design}: {} requests, {:.2} s, peak RSS {} MiB",
@@ -223,6 +225,7 @@ impl Telemetry {
 mod tests {
     use super::*;
     use crate::tests::parse;
+    use icn_core::fault::FaultConfig;
     use icn_obs::json;
     use icn_topology::{pop, AccessTree};
     use icn_workload::origin::OriginPolicy;
@@ -349,8 +352,7 @@ mod tests {
         assert_eq!(root.get("manifest"), Some(&Value::Null));
         let snap = Snapshot::from_value(&root).unwrap();
         assert_eq!(snap, t.snapshot());
-        let profiled = snap.timers.contains_key("sim.request.total");
-        assert_eq!(profiled, cfg!(feature = "obs"));
+        assert!(snap.timers.contains_key("sim.request.total"));
         let plain = Telemetry::disabled();
         plain.improvement_batch(&fig6_cells(&s));
         assert!(!plain.snapshot().timers.contains_key("sim.request.total"));
@@ -380,24 +382,42 @@ mod tests {
             // The profiling-never-changes-numbers invariant.
             assert_eq!(t.improvement_batch(&fig6_cells(&s)), plain, "jobs={jobs}");
             let timers = t.snapshot().timers;
-            let phases: Vec<&str> = (timers.keys())
-                .filter_map(|name| name.strip_suffix(".total"))
-                .collect();
-            #[cfg(feature = "obs")]
-            {
-                let total = |phase: &str| timers[&format!("{phase}.total")].sum;
-                assert!(timers["sim.request.total"].count > 0, "jobs={jobs}");
-                // Child phases nest under the request span.
-                for child in ["sim.dir_lookup", "sim.coop_lookup", "sim.transfer"] {
-                    assert!(total(child) <= total("sim.request"), "jobs={jobs}: {child}");
-                }
-                for &phase in &phases {
-                    let self_ns = &timers[&format!("{phase}.self")];
-                    assert!(self_ns.sum <= total(phase), "jobs={jobs}: {phase}");
-                }
+            let total = |phase: &str| timers[&format!("{phase}.total")].sum;
+            assert!(timers["sim.request.total"].count > 0, "jobs={jobs}");
+            // Child phases nest under the request span.
+            for child in ["sim.dir_lookup", "sim.coop_lookup", "sim.transfer"] {
+                assert!(total(child) <= total("sim.request"), "jobs={jobs}: {child}");
             }
-            #[cfg(not(feature = "obs"))]
-            assert!(phases.is_empty(), "{phases:?}");
+            let phases = (timers.keys()).filter_map(|name| name.strip_suffix(".total"));
+            for phase in phases {
+                let self_ns = &timers[&format!("{phase}.self")];
+                assert!(self_ns.sum <= total(phase), "jobs={jobs}: {phase}");
+            }
+        }
+    }
+
+    #[test]
+    fn request_counters_are_sums_of_run_metrics() {
+        let s = tiny_scenario();
+        let mut cells = fig6_cells(&s);
+        cells.push(SweepCell {
+            scenario: &s,
+            cfg: ExperimentConfig {
+                fault: Some(FaultConfig::uniform(0xfa17, 0.1)),
+                ..ExperimentConfig::baseline(DesignKind::IcnNr)
+            },
+        });
+        for jobs in [1usize, 4] {
+            let t = telemetry(jobs, false);
+            let runs: Vec<RunMetrics> = (t.improvement_batch(&cells).into_iter())
+                .map(|(_, run)| run)
+                .collect();
+            let counters = t.snapshot().counters;
+            let requests: u64 = runs.iter().map(|run| run.requests).sum();
+            let failed: u64 = runs.iter().map(|run| run.failed_requests).sum();
+            assert_eq!(counters["sim.requests"], requests, "jobs={jobs}");
+            assert_eq!(counters["sim.failed_requests"], failed, "jobs={jobs}");
+            assert!(failed > 0, "the faulted cell must fail some requests");
         }
     }
 }

@@ -69,8 +69,7 @@ fn metric_count(snap: &Snapshot) -> usize {
 /// metric; every histogram and timer well-formed ([`check_hist`]); each
 /// profile phase a `<phase>.self`/`<phase>.total` timer pair with equal
 /// counts and `self ≤ total`; and a `sim.request` root phase whenever the
-/// run simulated anything (with the `obs` feature compiled out the
-/// simulator records no spans, so no phase is correct there).
+/// run simulated anything.
 fn check_sidecar(text: &str) -> Result<Snapshot, String> {
     let root = parse(text).map_err(|e| format!("bad JSON: {e}"))?;
     if root.get("manifest").and_then(Value::as_obj).is_none() {
@@ -102,7 +101,7 @@ fn check_sidecar(text: &str) -> Result<Snapshot, String> {
         }
     }
     let simulated = snap.counters.get("bench.runs").is_some_and(|&n| n > 0);
-    if cfg!(feature = "obs") && simulated && !snap.timers.contains_key("sim.request.total") {
+    if simulated && !snap.timers.contains_key("sim.request.total") {
         return Err("profile is missing the sim.request root phase".into());
     }
     Ok(snap)
@@ -364,12 +363,7 @@ mod tests {
 
     #[test]
     fn a_simulated_run_without_a_request_phase_is_rejected() {
-        // Without the obs feature the simulator records no spans, so an
-        // empty profile is the correct output there.
-        let verdict = check_sidecar(&sidecar(1, &[], &[], |_| {}));
-        assert_eq!(verdict.is_err(), cfg!(feature = "obs"));
-        if let Err(err) = verdict {
-            assert!(err.contains("sim.request"), "{err}");
-        }
+        let err = rejection(&sidecar(1, &[], &[], |_| {}));
+        assert!(err.contains("sim.request"), "{err}");
     }
 }

@@ -53,14 +53,6 @@ impl CapacityTracker {
             false
         }
     }
-
-    /// True when `node` has exhausted its budget for the tracker's
-    /// current window — a read-only snapshot (no window roll), used by the
-    /// cascading-overload rule to sample saturation at fault-window
-    /// boundaries.
-    pub fn is_saturated(&self, node: u32) -> bool {
-        self.served[node as usize] >= self.cfg.per_node
-    }
 }
 
 #[cfg(test)]

@@ -1,398 +1,216 @@
-//! Optional simulator instrumentation (the `obs` cargo feature).
+//! Simulator instrumentation.
 //!
-//! [`SimObs`] bundles everything a [`crate::sim::Simulator`] can report
-//! while running: request counters, sampled per-request [`TraceRecord`]s
-//! and, with a [`Profiler`] attached, sampled spans over the request's
-//! phases (fault schedule, cache probe, cooperative lookup, directory
-//! lookup, cost selection, transfer accounting, eviction/insertion), all
-//! nested under one `sim.request` span. Attach one with
-//! [`crate::sim::Simulator::attach_obs`].
+//! [`SimObs`] bundles what a [`crate::sim::Simulator`] can report while
+//! running beyond its [`RunMetrics`](crate::metrics::RunMetrics): the
+//! `sim.coop_probes` counter, sampled per-request [`TraceRecord`]s and,
+//! with a [`Profiler`] attached, sampled spans over the request's phases
+//! (fault schedule, cache probe, cooperative lookup, directory lookup,
+//! cost selection, transfer accounting, eviction/insertion), all nested
+//! under one `sim.request` span. Attach one with
+//! [`crate::sim::Simulator::attach_obs`]; a run with none attached pays
+//! one `Option::is_none` branch per hook. Request and failure counts are
+//! not counted twice: they are `RunMetrics::{requests, failed_requests}`.
 //!
-//! With the (default) `obs` feature the struct carries live `icn-obs`
-//! handles; with `--no-default-features` it compiles to an empty shell
-//! whose methods are inlined away, so call sites in the simulator are
-//! identical in both builds and the uninstrumented binary pays nothing.
-//!
-//! Spans are sampled (default: every 64th request) —
+//! Spans are sampled (every [`DEFAULT_SPAN_SAMPLE`]th request) —
 //! `Instant::now()` costs tens of nanoseconds, which would otherwise be
 //! measurable against a request that routes in a few hundred. Counters and
 //! the latency histogram are exact; only durations are sampled.
 
 #![expect(clippy::disallowed_types, reason = "the one home of obs timing types")]
 
-use icn_obs::{Profiler, Registry, TraceRecord, TraceSink};
+use icn_obs::{Counter, PhaseHandle, Profiler, Registry, SpanGuard, TraceRecord, TraceSink};
 use std::borrow::Cow;
 use std::sync::Arc;
+use std::time::Instant;
 
-/// How often spans fire (1 = every request). Durations are sampled
-/// because reading the clock twice per span is the one instrumentation
-/// cost that is not "a few atomics".
+/// Spans fire for every `DEFAULT_SPAN_SAMPLE`th request. Durations are
+/// sampled because reading the clock twice per span is the one
+/// instrumentation cost that is not "a few atomics".
 pub const DEFAULT_SPAN_SAMPLE: u64 = 64;
 
 /// Per-cell accounting emitted by sweep drivers when a cell completes:
-/// where the wall clock went, cell by cell. The struct exists in both
-/// builds so sweep callbacks are feature-independent; without `obs` the
-/// timing fields are zero.
+/// where the wall clock went, cell by cell.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CellSample {
     /// Submission index of the cell within its batch.
     pub index: usize,
     /// Requests the cell simulated.
     pub requests: u64,
-    /// Wall-clock nanoseconds the cell took (0 without `obs`).
+    /// Wall-clock nanoseconds the cell took.
     pub wall_ns: u64,
-    /// Process peak RSS in KiB at completion (0 without `obs`).
+    /// Process peak RSS in KiB at completion (0 when the platform hides it).
     pub peak_rss_kb: u64,
 }
 
-#[cfg(feature = "obs")]
-mod real {
-    use super::*;
-    use icn_obs::{Counter, PhaseHandle, SpanGuard};
-    use std::time::Instant;
+/// Pre-resolved profiler phases for the simulator hot path.
+#[derive(Clone)]
+struct PhaseSpans {
+    request: PhaseHandle,
+    fault: PhaseHandle,
+    probe: PhaseHandle,
+    coop: PhaseHandle,
+    dir: PhaseHandle,
+    select: PhaseHandle,
+    transfer: PhaseHandle,
+    evict: PhaseHandle,
+}
 
-    /// Pre-resolved profiler phases for the simulator hot path.
-    #[derive(Clone)]
-    struct PhaseSpans {
-        request: PhaseHandle,
-        fault: PhaseHandle,
-        probe: PhaseHandle,
-        coop: PhaseHandle,
-        dir: PhaseHandle,
-        select: PhaseHandle,
-        transfer: PhaseHandle,
-        evict: PhaseHandle,
-    }
+/// Live instrumentation attached to a simulator run.
+#[derive(Clone)]
+pub struct SimObs {
+    design: Cow<'static, str>,
+    coop_probes: Counter,
+    trace: Option<Arc<TraceSink>>,
+    profile: Option<PhaseSpans>,
+}
 
-    /// Live instrumentation attached to a simulator run.
-    #[derive(Clone)]
-    pub struct SimObs {
-        design: Cow<'static, str>,
-        requests: Counter,
-        failed: Counter,
-        coop_probes: Counter,
-        span_every: u64,
-        trace: Option<Arc<TraceSink>>,
-        profile: Option<PhaseSpans>,
-    }
-
-    impl SimObs {
-        /// Instrumentation recording into `registry`, labelled with the
-        /// design under test (the label lands in trace records). Design
-        /// names are `&'static str` in practice, so the label is borrowed
-        /// — trace records stamp it without allocating.
-        pub fn new(registry: &Registry, design: impl Into<Cow<'static, str>>) -> Self {
-            Self {
-                design: design.into(),
-                requests: registry.counter("sim.requests"),
-                failed: registry.counter("sim.failed_requests"),
-                coop_probes: registry.counter("sim.coop_probes"),
-                span_every: DEFAULT_SPAN_SAMPLE,
-                trace: None,
-                profile: None,
-            }
-        }
-
-        /// Also emit sampled per-request trace records to `sink`.
-        pub fn with_trace(mut self, sink: Arc<TraceSink>) -> Self {
-            self.trace = Some(sink);
-            self
-        }
-
-        /// Override the span sampling interval (1 = time everything).
-        pub fn with_span_sampling(mut self, every: u64) -> Self {
-            self.span_every = every.max(1);
-            self
-        }
-
-        /// Also record sampled per-phase spans into `profiler`.
-        pub fn with_profiler(mut self, profiler: &Profiler) -> Self {
-            self.profile = Some(PhaseSpans {
-                request: profiler.phase("sim.request"),
-                fault: profiler.phase("sim.fault_schedule"),
-                probe: profiler.phase("sim.cache_probe"),
-                coop: profiler.phase("sim.coop_lookup"),
-                dir: profiler.phase("sim.dir_lookup"),
-                select: profiler.phase("sim.cost_select"),
-                transfer: profiler.phase("sim.transfer"),
-                evict: profiler.phase("sim.evict_insert"),
-            });
-            self
-        }
-
-        /// The design label given at construction.
-        pub fn design(&self) -> &str {
-            &self.design
-        }
-
-        /// Called when the run loop finishes `total` requests. The
-        /// `sim.requests` counter is bumped here in one batched add — the
-        /// run loop knows its exact length, so paying an atomic per
-        /// request would buy nothing.
-        pub fn on_finish(&self, total: u64) {
-            self.requests.add(total);
-        }
-
-        /// Called when a request fails under an active fault schedule
-        /// (origin unreachable or saturated) — exact, never sampled.
-        #[inline]
-        pub fn on_failed(&self) {
-            self.failed.inc();
-        }
-
-        /// Offers a trace record; `build` runs only when a sink is attached
-        /// (the sink then applies its own every-Nth sampling). `build`
-        /// receives the design label by value — cloning a borrowed `Cow`
-        /// copies a pointer, not the string.
-        #[inline]
-        pub fn trace_with(&self, build: impl FnOnce(Cow<'static, str>) -> TraceRecord) {
-            if let Some(sink) = &self.trace {
-                sink.offer_with(|| build(self.design.clone()));
-            }
-        }
-
-        #[inline]
-        fn phase_span(
-            &self,
-            idx: u64,
-            pick: impl FnOnce(&PhaseSpans) -> &PhaseHandle,
-        ) -> Option<SpanGuard> {
-            self.profile
-                .as_ref()
-                .and_then(|p| idx.is_multiple_of(self.span_every).then(|| pick(p).span()))
-        }
-
-        /// Sampled span covering one whole request (the parent of every
-        /// other phase span).
-        #[inline]
-        pub fn request_span(&self, idx: u64) -> Option<SpanGuard> {
-            self.phase_span(idx, |p| &p.request)
-        }
-
-        /// Sampled span covering fault-schedule advancement.
-        #[inline]
-        pub fn fault_span(&self, idx: u64) -> Option<SpanGuard> {
-            self.phase_span(idx, |p| &p.fault)
-        }
-
-        /// Sampled span covering cache probes along the path.
-        #[inline]
-        pub fn probe_span(&self, idx: u64) -> Option<SpanGuard> {
-            self.phase_span(idx, |p| &p.probe)
-        }
-
-        /// Counts one scoped sibling lookup (exact) and opens its sampled
-        /// span (nested inside [`SimObs::probe_span`]).
-        #[inline]
-        pub fn coop_span(&self, idx: u64) -> Option<SpanGuard> {
-            self.coop_probes.inc();
-            self.phase_span(idx, |p| &p.coop)
-        }
-
-        /// Sampled span covering the replica-directory lookup and
-        /// candidate gathering.
-        #[inline]
-        pub fn dir_span(&self, idx: u64) -> Option<SpanGuard> {
-            self.phase_span(idx, |p| &p.dir)
-        }
-
-        /// Sampled span covering cost-based replica selection (nested
-        /// inside [`SimObs::dir_span`]).
-        #[inline]
-        pub fn select_span(&self, idx: u64) -> Option<SpanGuard> {
-            self.phase_span(idx, |p| &p.select)
-        }
-
-        /// Sampled span covering latency/congestion accounting and
-        /// response-path insertion.
-        #[inline]
-        pub fn transfer_span(&self, idx: u64) -> Option<SpanGuard> {
-            self.phase_span(idx, |p| &p.transfer)
-        }
-
-        /// Sampled span covering response-path cache insertion and
-        /// eviction (nested inside [`SimObs::transfer_span`]).
-        #[inline]
-        pub fn evict_span(&self, idx: u64) -> Option<SpanGuard> {
-            self.phase_span(idx, |p| &p.evict)
+impl SimObs {
+    /// Instrumentation recording into `registry`, labelled with the
+    /// design under test (the label lands in trace records). Design
+    /// names are `&'static str` in practice, so the label is borrowed
+    /// — trace records stamp it without allocating.
+    pub fn new(registry: &Registry, design: impl Into<Cow<'static, str>>) -> Self {
+        Self {
+            design: design.into(),
+            coop_probes: registry.counter("sim.coop_probes"),
+            trace: None,
+            profile: None,
         }
     }
 
-    /// A wall clock for per-cell sweep accounting. Lives here — not in
-    /// `sweep.rs` — because `Instant` is banned from the deterministic
-    /// core; this module is the one sanctioned gate.
-    pub struct CellClock(Instant);
+    /// Also emit sampled per-request trace records to `sink`.
+    pub fn with_trace(mut self, sink: Arc<TraceSink>) -> Self {
+        self.trace = Some(sink);
+        self
+    }
 
-    impl CellClock {
-        /// Starts the clock.
-        #[expect(clippy::disallowed_methods, reason = "see CellClock")]
-        pub fn start() -> Self {
-            Self(Instant::now())
-        }
+    /// Also record sampled per-phase spans into `profiler`.
+    pub fn with_profiler(mut self, profiler: &Profiler) -> Self {
+        self.profile = Some(PhaseSpans {
+            request: profiler.phase("sim.request"),
+            fault: profiler.phase("sim.fault_schedule"),
+            probe: profiler.phase("sim.cache_probe"),
+            coop: profiler.phase("sim.coop_lookup"),
+            dir: profiler.phase("sim.dir_lookup"),
+            select: profiler.phase("sim.cost_select"),
+            transfer: profiler.phase("sim.transfer"),
+            evict: profiler.phase("sim.evict_insert"),
+        });
+        self
+    }
 
-        /// Nanoseconds since [`CellClock::start`].
-        pub fn elapsed_ns(&self) -> u64 {
-            self.0.elapsed().as_nanos() as u64
+    /// Offers a trace record; `build` runs only when a sink is attached
+    /// (the sink then applies its own every-Nth sampling). `build`
+    /// receives the design label by value — cloning a borrowed `Cow`
+    /// copies a pointer, not the string.
+    #[inline]
+    pub fn trace_with(&self, build: impl FnOnce(Cow<'static, str>) -> TraceRecord) {
+        if let Some(sink) = &self.trace {
+            sink.offer_with(|| build(self.design.clone()));
         }
     }
 
-    /// Process peak RSS in KiB (0 when the platform hides it).
-    pub fn peak_rss_kb() -> u64 {
-        icn_obs::peak_rss_kb()
+    #[inline]
+    fn phase_span(
+        &self,
+        idx: u64,
+        pick: impl FnOnce(&PhaseSpans) -> &PhaseHandle,
+    ) -> Option<SpanGuard> {
+        self.profile.as_ref().and_then(|p| {
+            idx.is_multiple_of(DEFAULT_SPAN_SAMPLE)
+                .then(|| pick(p).span())
+        })
+    }
+
+    /// Sampled span covering one whole request (the parent of every
+    /// other phase span).
+    #[inline]
+    pub fn request_span(&self, idx: u64) -> Option<SpanGuard> {
+        self.phase_span(idx, |p| &p.request)
+    }
+
+    /// Sampled span covering fault-schedule advancement.
+    #[inline]
+    pub fn fault_span(&self, idx: u64) -> Option<SpanGuard> {
+        self.phase_span(idx, |p| &p.fault)
+    }
+
+    /// Sampled span covering cache probes along the path.
+    #[inline]
+    pub fn probe_span(&self, idx: u64) -> Option<SpanGuard> {
+        self.phase_span(idx, |p| &p.probe)
+    }
+
+    /// Counts one scoped sibling lookup (exact) and opens its sampled
+    /// span (nested inside [`SimObs::probe_span`]).
+    #[inline]
+    pub fn coop_span(&self, idx: u64) -> Option<SpanGuard> {
+        self.coop_probes.inc();
+        self.phase_span(idx, |p| &p.coop)
+    }
+
+    /// Sampled span covering the replica-directory lookup and
+    /// candidate gathering.
+    #[inline]
+    pub fn dir_span(&self, idx: u64) -> Option<SpanGuard> {
+        self.phase_span(idx, |p| &p.dir)
+    }
+
+    /// Sampled span covering cost-based replica selection (nested
+    /// inside [`SimObs::dir_span`]).
+    #[inline]
+    pub fn select_span(&self, idx: u64) -> Option<SpanGuard> {
+        self.phase_span(idx, |p| &p.select)
+    }
+
+    /// Sampled span covering latency/congestion accounting and
+    /// response-path insertion.
+    #[inline]
+    pub fn transfer_span(&self, idx: u64) -> Option<SpanGuard> {
+        self.phase_span(idx, |p| &p.transfer)
+    }
+
+    /// Sampled span covering response-path cache insertion and
+    /// eviction (nested inside [`SimObs::transfer_span`]).
+    #[inline]
+    pub fn evict_span(&self, idx: u64) -> Option<SpanGuard> {
+        self.phase_span(idx, |p| &p.evict)
     }
 }
 
-#[cfg(not(feature = "obs"))]
-mod real {
-    use super::*;
+/// A wall clock for per-cell sweep accounting. Lives here — not in
+/// `sweep.rs` — because `Instant` is banned from the deterministic
+/// core; this module is the one sanctioned gate.
+pub struct CellClock(Instant);
 
-    /// Compiled-out instrumentation: every method is an empty `#[inline]`
-    /// shell, so the uninstrumented simulator is byte-for-byte free of
-    /// observability costs while call sites stay identical.
-    #[derive(Clone)]
-    pub struct SimObs;
-
-    /// Stand-in for `icn_obs::SpanGuard` when spans are compiled out.
-    pub struct NoSpan;
-
-    /// Empty, so that the kernel's `drop(span)` calls — which end a real
-    /// span early in the `obs` build — read the same in both builds
-    /// without tripping `clippy::drop_non_drop`.
-    impl Drop for NoSpan {
-        fn drop(&mut self) {}
+impl CellClock {
+    /// Starts the clock.
+    #[expect(clippy::disallowed_methods, reason = "see CellClock")]
+    pub fn start() -> Self {
+        Self(Instant::now())
     }
 
-    impl SimObs {
-        /// See the `obs`-enabled variant.
-        pub fn new(_registry: &Registry, _design: impl Into<Cow<'static, str>>) -> Self {
-            Self
-        }
-
-        /// See the `obs`-enabled variant.
-        pub fn with_trace(self, _sink: Arc<TraceSink>) -> Self {
-            self
-        }
-
-        /// See the `obs`-enabled variant.
-        pub fn with_span_sampling(self, _every: u64) -> Self {
-            self
-        }
-
-        /// See the `obs`-enabled variant.
-        pub fn with_profiler(self, _profiler: &Profiler) -> Self {
-            self
-        }
-
-        /// See the `obs`-enabled variant.
-        pub fn design(&self) -> &str {
-            ""
-        }
-
-        /// See the `obs`-enabled variant.
-        pub fn on_finish(&self, _total: u64) {}
-
-        /// See the `obs`-enabled variant.
-        #[inline]
-        pub fn on_failed(&self) {}
-
-        /// See the `obs`-enabled variant.
-        #[inline]
-        pub fn coop_span(&self, _idx: u64) -> Option<NoSpan> {
-            None
-        }
-
-        /// See the `obs`-enabled variant.
-        #[inline]
-        pub fn transfer_span(&self, _idx: u64) -> Option<NoSpan> {
-            None
-        }
-
-        /// See the `obs`-enabled variant.
-        #[inline]
-        pub fn trace_with(&self, _build: impl FnOnce(Cow<'static, str>) -> TraceRecord) {}
-
-        /// See the `obs`-enabled variant.
-        #[inline]
-        pub fn request_span(&self, _idx: u64) -> Option<NoSpan> {
-            None
-        }
-
-        /// See the `obs`-enabled variant.
-        #[inline]
-        pub fn fault_span(&self, _idx: u64) -> Option<NoSpan> {
-            None
-        }
-
-        /// See the `obs`-enabled variant.
-        #[inline]
-        pub fn probe_span(&self, _idx: u64) -> Option<NoSpan> {
-            None
-        }
-
-        /// See the `obs`-enabled variant.
-        #[inline]
-        pub fn dir_span(&self, _idx: u64) -> Option<NoSpan> {
-            None
-        }
-
-        /// See the `obs`-enabled variant.
-        #[inline]
-        pub fn select_span(&self, _idx: u64) -> Option<NoSpan> {
-            None
-        }
-
-        /// See the `obs`-enabled variant.
-        #[inline]
-        pub fn evict_span(&self, _idx: u64) -> Option<NoSpan> {
-            None
-        }
-    }
-
-    /// See the `obs`-enabled variant: compiled-out cell clock.
-    pub struct CellClock;
-
-    impl CellClock {
-        /// See the `obs`-enabled variant.
-        pub fn start() -> Self {
-            Self
-        }
-
-        /// See the `obs`-enabled variant (always 0 here).
-        pub fn elapsed_ns(&self) -> u64 {
-            0
-        }
-    }
-
-    /// See the `obs`-enabled variant (always 0 here).
-    pub fn peak_rss_kb() -> u64 {
-        0
+    /// Nanoseconds since [`CellClock::start`].
+    pub fn elapsed_ns(&self) -> u64 {
+        self.0.elapsed().as_nanos() as u64
     }
 }
 
-pub use real::{peak_rss_kb, CellClock, SimObs};
-
-#[cfg(not(feature = "obs"))]
-pub use real::NoSpan;
-
-#[cfg(all(test, feature = "obs"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn spans_are_sampled() {
         let (registry, profiler) = (Registry::new(), Profiler::new());
-        let obs = SimObs::new(&registry, "EDGE")
-            .with_span_sampling(10)
-            .with_profiler(&profiler);
-        for idx in 0..100 {
+        let obs = SimObs::new(&registry, "EDGE").with_profiler(&profiler);
+        for idx in 0..10 * DEFAULT_SPAN_SAMPLE {
             drop(obs.coop_span(idx));
             drop(obs.transfer_span(idx));
         }
-        obs.on_finish(100);
         let snap = registry.snapshot();
         // Counters are exact; only span durations are sampled.
-        assert_eq!(snap.counters["sim.requests"], 100);
-        assert_eq!(snap.counters["sim.coop_probes"], 100);
+        assert_eq!(snap.counters["sim.coop_probes"], 10 * DEFAULT_SPAN_SAMPLE);
         let timers = profiler.registry().snapshot().timers;
         assert_eq!(timers["sim.coop_lookup.total"].count, 10);
         assert_eq!(timers["sim.transfer.self"].count, 10);
@@ -402,10 +220,8 @@ mod tests {
     fn profiler_phases_sample_and_nest() {
         let registry = Registry::new();
         let profiler = Profiler::new();
-        let obs = SimObs::new(&registry, "EDGE")
-            .with_span_sampling(10)
-            .with_profiler(&profiler);
-        for idx in 0..100u64 {
+        let obs = SimObs::new(&registry, "EDGE").with_profiler(&profiler);
+        for idx in 0..10 * DEFAULT_SPAN_SAMPLE {
             let _req = obs.request_span(idx);
             {
                 let _dir = obs.dir_span(idx);
@@ -440,8 +256,6 @@ mod tests {
         let clock = CellClock::start();
         std::thread::sleep(std::time::Duration::from_millis(1));
         assert!(clock.elapsed_ns() > 0);
-        // RSS is platform-dependent but must not panic.
-        let _ = peak_rss_kb();
     }
 
     #[test]

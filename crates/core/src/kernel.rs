@@ -235,7 +235,8 @@ enum Server {
     Origin,
 }
 
-/// Where a nearest-replica request is served once faults are considered.
+/// Where a nearest-replica request is served once faults and serving
+/// capacity are considered.
 enum NrChoice {
     /// A live replica at this cost.
     Replica {
@@ -345,8 +346,8 @@ pub(crate) struct Kernel<W: World> {
     /// Drives probabilistic insertion decisions.
     rng: StdRng,
     pub(crate) metrics: RunMetrics,
-    /// Optional instrumentation (counters, trace records, profiler
-    /// spans); a no-op shell when the `obs` feature is disabled.
+    /// Optional instrumentation (the cooperative-probe counter, trace
+    /// records, profiler spans); `None` when nothing is attached.
     pub(crate) obs: Option<SimObs>,
     path_buf: Vec<NodeId>,
     nodes_buf: Vec<NodeId>,
@@ -355,11 +356,11 @@ pub(crate) struct Kernel<W: World> {
     /// lookup runs on every cache-equipped router a miss climbs past, so
     /// allocating a fresh `Vec` per probe would be a per-miss heap hit.
     siblings_buf: Vec<u32>,
-    /// Scratch for nearest-replica candidate lists (capacity-limited and
-    /// faulted selection) — same rationale as `siblings_buf`. Split into
-    /// parallel cost/node arrays so the select-min scan is two contiguous
-    /// slice walks (struct-of-arrays: no `(f64, u32)` padding, and the
-    /// cost lane vectorizes) instead of striding through 16-byte tuples.
+    /// Scratch for the probing selection's candidate list — same
+    /// rationale as `siblings_buf`. Split into parallel cost/node arrays
+    /// so the select-min scan is two contiguous slice walks
+    /// (struct-of-arrays: no `(f64, u32)` padding, and the cost lane
+    /// vectorizes) instead of striding through 16-byte tuples.
     cand_cost: Vec<f64>,
     /// Candidate node ids, parallel to `cand_cost`.
     cand_node: Vec<NodeId>,
@@ -559,7 +560,6 @@ impl<W: World> Kernel<W> {
     fn record_failed(&mut self, idx: u64, object: u32) {
         self.metrics.failed_requests += 1;
         if let Some(o) = &self.obs {
-            o.on_failed();
             o.trace_with(|design| TraceRecord {
                 seq: idx,
                 object: object as u64,
@@ -853,8 +853,8 @@ impl<W: World> Kernel<W> {
         // Replica-directory lookup + candidate gathering; the cost-based
         // selection inside nests as a child phase.
         let dir_span = self.obs.as_ref().and_then(|o| o.dir_span(idx));
-        let choice = if self.fault.is_some() {
-            self.select_nr_faulted(
+        let choice = if self.fault.is_some() || self.capacity.is_some() {
+            self.select_nr_probing(
                 env,
                 leaf,
                 object,
@@ -864,16 +864,10 @@ impl<W: World> Kernel<W> {
                 &mut penalty,
             )
         } else {
-            // Fault-free paths: the Option-free hot loop.
-            let server = if self.capacity.is_some() {
-                self.select_nr_capacity(env, leaf, object, origin_cost, idx)
-            } else {
-                let _select_span = self.obs.as_ref().and_then(|o| o.select_span(idx));
-                self.world
-                    .nearest(env, leaf, object)
-                    .filter(|&(c, _)| c < origin_cost)
-            };
-            match server {
+            // Nothing can turn a replica down: the directory's pruned
+            // nearest lookup, with no candidate list.
+            let _select_span = self.obs.as_ref().and_then(|o| o.select_span(idx));
+            match (self.world.nearest(env, leaf, object)).filter(|&(c, _)| c < origin_cost) {
                 Some((cost, node)) => NrChoice::Replica {
                     cost,
                     node,
@@ -953,23 +947,8 @@ impl<W: World> Kernel<W> {
         self.nodes_buf = nodes;
     }
 
-    /// Loads the candidate scratch with every replica of `object` cheaper
-    /// than `max_cost` from `leaf`, for [`Kernel::pop_candidate`] to hand
-    /// out in ascending `(cost, NodeId)` order.
-    fn gather_candidates(&mut self, env: &Env, leaf: NodeId, object: u32, max_cost: f64) {
-        self.cand_cost.clear();
-        self.cand_node.clear();
-        self.world.extend_cands(
-            env,
-            object,
-            leaf,
-            max_cost,
-            &mut self.cand_cost,
-            &mut self.cand_node,
-        );
-    }
-
-    /// The next gathered candidate in ascending `(cost, NodeId)` order.
+    /// The next candidate of [`Kernel::select_nr_probing`]'s scratch in
+    /// ascending `(cost, NodeId)` order.
     /// Allocation-free: the common case (first candidate is eligible) is
     /// a single select-min pass with no sort, and a rejected minimum is
     /// discarded and the rest rescanned.
@@ -978,43 +957,22 @@ impl<W: World> Kernel<W> {
         Some((self.cand_cost.swap_remove(i), self.cand_node.swap_remove(i)))
     }
 
-    /// Capacity-limited nearest-replica selection: probe candidates in
-    /// ascending `(cost, NodeId)` order until one has serving capacity
-    /// left; the origin serves when none does or when it is at least as
-    /// close. A failed `try_capacity` probe does not mutate the tracker,
-    /// so the probe order is all that matters.
-    fn select_nr_capacity(
-        &mut self,
-        env: &Env,
-        leaf: NodeId,
-        object: u32,
-        origin_cost: f64,
-        idx: u64,
-    ) -> Option<(f64, NodeId)> {
-        let _select_span = self.obs.as_ref().and_then(|o| o.select_span(idx));
-        self.gather_candidates(env, leaf, object, origin_cost);
-        while let Some((cost, node)) = self.pop_candidate() {
-            if self.try_capacity(node, idx) {
-                return Some((cost, node));
-            }
-        }
-        None
-    }
-
-    /// Nearest-replica server selection under an active fault schedule:
-    /// ICN-NR falls back to the next-nearest *live* replica (up node, live
-    /// path), preferring the origin when it is reachable and at least as
-    /// close. With the origin unreachable, any live replica serves at any
-    /// cost; with none, the request fails.
+    /// Nearest-replica selection when a capacity model or a fault schedule
+    /// can turn a replica down: probe candidates in ascending `(cost,
+    /// NodeId)` order until one is up, on a live path and has serving
+    /// capacity left. While the origin is reachable only candidates
+    /// cheaper than it are gathered, and the origin serves when none of
+    /// them can; with the origin unreachable, any live replica serves at
+    /// any cost, and with none the request fails.
     ///
-    /// Shares the fault-free ordering contract: candidates are considered
-    /// in ascending `(cost, NodeId)` order, so under a zero-failure
-    /// schedule every liveness check passes and the selection reduces
-    /// exactly to the fault-free paths. `penalty` accumulates the wasted
-    /// round-trip latency of replicas whose corruption was caught by
-    /// self-certification (the copy is evicted and the scan continues).
+    /// The order is the fault-free one, so with every check passing the
+    /// selection is exactly the directory's `nearest`. A failed
+    /// `try_capacity` probe does not mutate the tracker. `penalty`
+    /// accumulates the wasted round-trip latency of replicas whose
+    /// corruption was caught by self-certification (the copy is evicted
+    /// and the scan continues).
     #[expect(clippy::too_many_arguments, reason = "hot path; no per-request struct")]
-    fn select_nr_faulted(
+    fn select_nr_probing(
         &mut self,
         env: &Env,
         leaf: NodeId,
@@ -1026,11 +984,22 @@ impl<W: World> Kernel<W> {
     ) -> NrChoice {
         let _select_span = self.obs.as_ref().and_then(|o| o.select_span(idx));
         let origin_reachable = self.path_live(env, leaf, origin_root);
-        self.gather_candidates(env, leaf, object, f64::INFINITY);
+        let max_cost = if origin_reachable {
+            origin_cost
+        } else {
+            f64::INFINITY
+        };
+        self.cand_cost.clear();
+        self.cand_node.clear();
+        self.world.extend_cands(
+            env,
+            object,
+            leaf,
+            max_cost,
+            &mut self.cand_cost,
+            &mut self.cand_node,
+        );
         while let Some((cost, node)) = self.pop_candidate() {
-            if origin_reachable && cost >= origin_cost {
-                break; // origin is at least as close; prefer it
-            }
             if !self.node_up(node) || !self.path_live(env, leaf, node) {
                 continue;
             }

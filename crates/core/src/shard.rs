@@ -86,8 +86,7 @@ pub struct ShardRun {
     pub metrics: RunMetrics,
     /// Number of epochs processed.
     pub epochs: u64,
-    /// Nanoseconds spent in the sequential reconcile across all epochs
-    /// (0 without the `obs` feature, which owns the only clock).
+    /// Nanoseconds spent in the sequential reconcile across all epochs.
     pub reconcile_ns: u64,
     /// Worker threads actually used (`min(shards, PoPs)`).
     pub workers: usize,

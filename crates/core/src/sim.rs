@@ -203,13 +203,8 @@ impl<'a> Simulator<'a> {
     where
         I: IntoIterator<Item = Request>,
     {
-        let mut count = 0u64;
-        for req in requests {
-            self.kernel.process(&self.env, count, &req);
-            count += 1;
-        }
-        if let Some(o) = &self.kernel.obs {
-            o.on_finish(count);
+        for (idx, req) in (0u64..).zip(requests) {
+            self.kernel.process(&self.env, idx, &req);
         }
         &self.kernel.metrics
     }

@@ -17,7 +17,7 @@
 
 use crate::config::ExperimentConfig;
 use crate::design::DesignKind;
-use crate::instrument::{peak_rss_kb, CellClock, CellSample, SimObs};
+use crate::instrument::{CellClock, CellSample, SimObs};
 use crate::latency::LatencyModel;
 use crate::metrics::{Improvement, RunMetrics};
 use crate::sim::Simulator;
@@ -226,7 +226,7 @@ pub fn run_cells(cells: &[SweepCell<'_>], jobs: usize) -> Vec<(Improvement, RunM
 /// its submission index, request count, wall-clock time, and peak RSS (a
 /// [`CellSample`]). Both are side-band observability and never touch the
 /// returned results, so the submission-order determinism contract is
-/// unchanged. Timing fields are zero without the `obs` feature.
+/// unchanged.
 pub fn run_cells_reported<F, D>(
     cells: &[SweepCell<'_>],
     jobs: usize,
@@ -247,7 +247,7 @@ where
             index: idx,
             requests: result.1.requests,
             wall_ns: clock.elapsed_ns(),
-            peak_rss_kb: peak_rss_kb(),
+            peak_rss_kb: icn_obs::peak_rss_kb(),
         });
         result
     };
@@ -401,7 +401,6 @@ mod tests {
         assert!(run.mean_link_utilisation() > 0.0);
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn instrumented_run_matches_plain_run() {
         let s = small_scenario();
@@ -414,9 +413,7 @@ mod tests {
         assert_eq!(imp_obs, imp);
         assert_eq!(run_obs.total_latency, run.total_latency);
         assert_eq!(run_obs.link_transfers, run.link_transfers);
-        let snap = registry.snapshot();
-        assert_eq!(snap.counters["sim.requests"], run.requests);
-        assert!(snap.counters["sim.coop_probes"] > 0);
+        assert!(registry.snapshot().counters["sim.coop_probes"] > 0);
     }
 
     #[test]

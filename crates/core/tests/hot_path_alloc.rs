@@ -5,7 +5,9 @@
 //!
 //! The replica directory is one flat bitset sized at construction, so
 //! ICN-NR on 255-node trees (four words per PoP group) is asserted along
-//! with the 15-node default.
+//! with the 15-node default. So is ICN-NR's probing selection, under
+//! faults and under the ablation's serving-capacity limit, which reuses
+//! one candidate scratch.
 //!
 //! Not asserted, because they allocate (third-run counts on this trace):
 //! EDGE-Norm 1, Norm-Coop 2, Double-Budget-Coop 5; ICN-NR under TTL (700
@@ -17,6 +19,7 @@
 
 #![expect(unsafe_code, reason = "a counting GlobalAlloc is an unsafe impl")]
 
+use icn_core::capacity::ServingCapacity;
 use icn_core::config::ExperimentConfig;
 use icn_core::design::DesignKind;
 use icn_core::fault::FaultConfig;
@@ -116,5 +119,16 @@ fn warm_faulted_runs_allocate_nothing() {
         ..ExperimentConfig::baseline(design)
     };
     let designs = [DesignKind::IcnNr, DesignKind::IcnSp, DesignKind::Edge];
-    assert_warm_runs_allocate_nothing(AccessTree::new(2, 3), designs.map(faulted));
+    let capacity_limited_nr = ExperimentConfig {
+        capacity: Some(ServingCapacity {
+            per_node: 50,
+            window: 10_000,
+        }),
+        ..ExperimentConfig::baseline(DesignKind::IcnNr)
+    };
+    let cfgs = designs
+        .map(faulted)
+        .into_iter()
+        .chain([capacity_limited_nr]);
+    assert_warm_runs_allocate_nothing(AccessTree::new(2, 3), cfgs);
 }

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Full repo health check: build, tests, lints, formatting, the telemetry
-# sidecars of both feature sets, and byte-compares of every experiment's
-# stdout (all 14 committed results/ files, JOBS=1 vs JOBS=4, with and
-# without --telemetry).
+# sidecar, and byte-compares of every experiment's stdout (all 14
+# committed results/ files, JOBS=1 vs JOBS=4, with and without
+# --telemetry).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -33,19 +33,15 @@ echo "=== cargo test"
 # stalls, truncation, and content corruption on the wire.
 cargo test -q --workspace
 
-echo "=== cargo clippy -- -D warnings (default and no-default features)"
+echo "=== cargo clippy -- -D warnings"
 # The single static gate; DESIGN.md §7 maps each project rule to its lint.
 cargo clippy --workspace --all-targets -- -D warnings
-cargo clippy --workspace --all-targets --no-default-features -- -D warnings
 
 echo "=== sanitizers (advisory; skipped without a nightly toolchain)"
 scripts/sanitize.sh || echo "warning: sanitizer run reported issues (advisory only)" >&2
 
 echo "=== cargo fmt --check"
 cargo fmt --check --all
-
-echo "=== --no-default-features builds"
-cargo build --release --workspace --no-default-features
 
 echo "=== release-profile boundary tests (saturating latency arithmetic)"
 cargo test -q --release -p icn-core --lib latency::
@@ -57,7 +53,7 @@ echo "=== release-profile directory and cache tests (the own-PoP prune rests on 
 cargo test -q --release -p icn-core --lib dir::
 cargo test -q --release -p icn-cache
 
-# Every experiment runs through the one `icn` binary (default features).
+# Every experiment runs through the one `icn` binary.
 icn() { cargo run --release -q -p icn-bench -- "$@"; }
 tmp="$(mktemp -d /tmp/icn-check.XXXXXX)"
 trap 'rm -rf "$tmp"' EXIT
@@ -73,15 +69,6 @@ SCALE="${SCALE:-0.02}" JOBS=4 icn fig6 --telemetry "$tmp/sidecar.json" >"$tmp/fi
 cmp "$tmp/fig6-4.txt" "$tmp/fig6-tel.txt"
 icn telemetry_check "$tmp/sidecar.json" >/dev/null
 echo "JOBS=1, JOBS=4 and JOBS=4 --telemetry stdout byte-identical; sidecar validates"
-
-echo "=== no-obs sidecar (--no-default-features fig6 JOBS=1 --telemetry, checked by the same build)"
-# Without the obs feature the simulator records no spans, so that build's
-# telemetry_check must accept a sidecar with no profile phases.
-icn_noobs() { cargo run --release -q -p icn-bench --no-default-features -- "$@"; }
-SCALE="${SCALE:-0.02}" JOBS=1 icn_noobs fig6 --telemetry "$tmp/noobs.json" >"$tmp/fig6-noobs.txt" 2>/dev/null
-cmp "$tmp/fig6-1.txt" "$tmp/fig6-noobs.txt"
-icn_noobs telemetry_check "$tmp/noobs.json" >/dev/null
-echo "no-obs JOBS=1 --telemetry stdout byte-identical; its sidecar validates"
 
 echo "=== committed results (icn all at its default SCALE vs results/)"
 # results/*.txt were generated before the request kernel was unified and
